@@ -13,13 +13,16 @@
 //! ```
 
 use std::io::{self, BufRead, Write};
+use std::path::Path;
 
 use annoda::parse::parse_question;
 use annoda::reorganize::{self, GroupKey, SortKey};
-use annoda::{render_integrated_view, render_object_view, Annoda, FusionStrategy, GML_ROOT};
+use annoda::{
+    render_integrated_view, render_object_view, Annoda, AnnodaError, FsyncPolicy, FusionStrategy,
+    PersistError, ShardedGml, GML_ROOT,
+};
 use annoda_mediator::IntegratedGene;
 use annoda_oem::text as oem_text;
-use annoda_persist::{sync_root, DurableStore, FsyncPolicy};
 use annoda_sources::{Corpus, CorpusConfig};
 
 fn main() {
@@ -319,52 +322,73 @@ fn main() {
                     Err(e) => println!("error: {e}"),
                 }
             }
-            // Journaled sibling of `save`: instead of rewriting a whole
-            // OEM text file, delta-journal the materialised GML into a
-            // WAL-backed data directory (crash-safe, incremental).
+            // Journaled sibling of `save`: delta-journal the materialised
+            // GML into a WAL-backed data directory (crash-safe,
+            // incremental) that `annoda-serve --data-dir` can open.
             "jsave" => {
-                let dir = rest.trim();
-                if dir.is_empty() {
-                    println!("usage: jsave <data-dir>   (journal ANNODA-GML into a durable store)");
+                let mut parts = rest.split_whitespace();
+                let dir = parts.next();
+                let shards = parts.next().map_or(Ok(1), str::parse::<usize>);
+                let (Some(dir), Ok(shards @ 1..)) = (dir, shards) else {
+                    println!(
+                        "usage: jsave <data-dir> [shards]   (journal ANNODA-GML, default 1 shard)"
+                    );
                     continue;
-                }
-                match annoda.mediator().materialize_gml() {
-                    Ok((gml, _cost)) => {
-                        let root = gml.named(GML_ROOT).expect("materialized GML is named");
-                        match DurableStore::open(std::path::Path::new(dir), FsyncPolicy::Always) {
-                            Ok(mut store) => match sync_root(&mut store, GML_ROOT, &gml, root) {
-                                Ok(n) => println!(
-                                    "journaled {n} records to {dir} (generation {}, wal {} bytes)",
-                                    store.stats().generation,
-                                    store.stats().wal_bytes
-                                ),
-                                Err(e) => println!("error: {e}"),
-                            },
-                            Err(e) => println!("error: {e}"),
-                        }
-                    }
+                };
+                let journaled = annoda
+                    .mediator()
+                    .materialize_gml()
+                    .map_err(AnnodaError::from);
+                let journaled = journaled.and_then(|(gml, _cost)| {
+                    let open = || Ok(gml.clone());
+                    let store = ShardedGml::open(
+                        Path::new(dir),
+                        FsyncPolicy::Always,
+                        shards,
+                        GML_ROOT,
+                        open,
+                    )?;
+                    let mut txn = store.begin();
+                    txn.stage(&gml)?;
+                    store
+                        .commit(txn)
+                        .map_err(|e| AnnodaError::Txn(e.to_string()))?;
+                    store.sync()?;
+                    Ok(store
+                        .with_durable(|d| d.total_stats())
+                        .expect("opened durable"))
+                });
+                match journaled {
+                    Ok(s) => println!(
+                        "journaled {} records to {dir} ({shards} shards, generation {}, wal {} bytes)",
+                        s.appended_records, s.generation, s.wal_bytes
+                    ),
                     Err(e) => println!("error: {e}"),
                 }
             }
             // Journaled sibling of `export`: recover a durable store
-            // (snapshot + WAL replay) and write its GML as OEM text.
+            // (per-shard snapshot + WAL replay) and write its GML as
+            // OEM text.
             "jexport" => {
                 let mut parts = rest.split_whitespace();
                 let (Some(dir), Some(path)) = (parts.next(), parts.next()) else {
                     println!("usage: jexport <data-dir> <file.oem>");
                     continue;
                 };
-                match DurableStore::open(std::path::Path::new(dir), FsyncPolicy::OnSnapshot) {
+                let cold = || {
+                    let reason = format!("{dir} holds no journaled GML");
+                    Err(AnnodaError::Persist(PersistError::Layout { reason }))
+                };
+                match ShardedGml::open(Path::new(dir), FsyncPolicy::OnSnapshot, 0, GML_ROOT, cold) {
                     Ok(store) => {
-                        let r = store.recovery();
+                        let r = store.recovery().expect("opened durable");
                         println!(
-                            "recovered generation {} ({} snapshot objects, {} replayed records)",
-                            r.generation, r.snapshot_objects, r.replayed_records
+                            "recovered generation {} ({} snapshot objects, {} replayed records, {} shards)",
+                            r.generation, r.snapshot_objects, r.replayed_records, store.shard_count()
                         );
-                        match oem_text::save_to_file(store.store(), std::path::Path::new(path)) {
-                            Ok(()) => {
-                                println!("exported {} objects to {path}", store.store().len())
-                            }
+                        let (_, gml) = store.assembled();
+                        match oem_text::save_to_file(&gml, Path::new(path)) {
+                            Ok(()) => println!("exported {} objects to {path}", gml.len()),
                             Err(e) => println!("error: {e}"),
                         }
                     }
@@ -423,7 +447,7 @@ commands:
   tsv                          print the last answer as a table
   export <file.tsv>            write the last answer to a file
   save <file.oem>              save the materialised ANNODA-GML to disk
-  jsave <data-dir>             journal ANNODA-GML into a WAL-backed durable
+  jsave <data-dir> [shards]    journal ANNODA-GML into a WAL-backed durable
                                store (incremental delta, crash-safe)
   jexport <data-dir> <file.oem>
                                recover a durable store and export its GML

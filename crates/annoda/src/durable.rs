@@ -2,23 +2,24 @@
 //!
 //! [`Annoda`] alone is ephemeral: every process start re-wraps all
 //! sources and re-materialises ANNODA-GML from scratch. This layer
-//! pairs the façade with an [`annoda_persist::DurableStore`] holding
-//! the materialised global model:
+//! serves the materialised global model from one engine, a
+//! [`ShardedGml`] of N ≥ 1 hash-routed shards with per-shard MVCC
+//! epochs, optionally backed by one WAL + snapshot segment per shard:
 //!
-//! * **cold start** — no persisted GML yet: materialise once and
-//!   journal it, so the *next* start is warm;
-//! * **warm start** — recovery rebuilt the exact GML the previous
-//!   process held (snapshot + WAL replay); queries are served from it
-//!   immediately without touching the wrappers;
+//! * **cold start** — no persisted GML yet: materialise once, partition
+//!   it, and journal every shard, so the *next* start is warm;
+//! * **warm start** — recovery rebuilt the exact shards the previous
+//!   process held (snapshot + WAL replay per segment); queries are
+//!   served from them immediately without touching the wrappers;
 //! * **refresh** — wrappers re-pull their native databases (which also
-//!   invalidates the mediator's subquery cache), and the resulting
-//!   delta against the persisted GML is journaled via
-//!   [`annoda_persist::sync_root`] — a handful of path-addressed edit
-//!   records when the change is small, a full fragment when it is not.
+//!   invalidates the mediator's subquery cache), the re-materialised
+//!   GML is committed as a shard transaction, and only the shards it
+//!   changed bump their epochs and journal their delta via
+//!   [`annoda_persist::sync_root`]. A segment whose log outgrows the
+//!   state it compacts into is snapshotted on the spot.
 //!
-//! Construction with [`DurableSystem::new`] keeps the façade fully
-//! usable with persistence disabled — the serving layer treats that as
-//! "no `--data-dir` given".
+//! [`DurableSystem::new`] keeps the façade fully usable without a disk
+//! — the serving layer treats that as "no `--data-dir` given".
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,8 +30,8 @@ use annoda_mediator::{Mediator, MediatorError};
 use annoda_oem::shard::ShardRouter;
 use annoda_oem::{OemStore, Snapshot, TextDoc};
 use annoda_persist::{
-    sync_root, DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport,
-    SnapshotMeta, SourceEventKind, TailRead,
+    DurableStore, FsyncPolicy, JournalRecord, PersistStats, RecoveryReport, SnapshotMeta,
+    SourceEventKind, TailRead,
 };
 use annoda_search::{
     docs_fingerprint, load_segments, save_segments, FusionStrategy, RankedAnswer, SearchIndex,
@@ -42,38 +43,39 @@ use parking_lot::RwLock;
 use crate::registry::PlugReport;
 use crate::repl::{ReplShared, Role};
 use crate::system::{Annoda, AnnodaError};
-use crate::txn::{CommitError, CommitOutcome, EpochsHandle, ShardGauges, ShardedGml, TxnStats};
+use crate::txn::{CommitError, CommitOutcome, EpochsHandle, ShardedGml};
 
 /// The name the mediator binds the materialised global model under —
-/// also the root name the journal tracks.
+/// also the root name every shard journal tracks.
 pub const GML_ROOT: &str = "ANNODA-GML";
 
-/// Marker file a follower leaves in its data directory: its WAL is a
-/// byte-for-byte replica of some leader's log, so the local WAL length
-/// is a valid replication resume position. A directory without the
-/// marker may hold locally-journaled bytes (a leader's, or a cold
-/// materialisation) whose offsets mean nothing on the leader's log —
+/// Marker file a follower leaves in its data directory: its shard WALs
+/// are byte-for-byte replicas of some leader's logs, so the local WAL
+/// lengths are valid replication resume positions. A directory without
+/// the marker may hold locally-journaled bytes (a leader's, or a cold
+/// materialisation) whose offsets mean nothing on the leader's logs —
 /// such a follower must bootstrap via snapshot transfer. Promotion
 /// removes the marker.
 const FOLLOWER_MARKER: &str = "replica.follower";
+
+/// One shard's replication position: `(generation, WAL offset)`.
+pub type Position = (u64, u64);
 
 /// What one durable refresh did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshOutcome {
     /// Objects re-pulled by the wrappers.
     pub refreshed_objects: usize,
-    /// Journal records written for the resulting GML delta (including
-    /// the refresh marker itself), zero when persistence is off.
+    /// Journal records written for the resulting GML delta, zero when
+    /// persistence is off.
     pub journaled_records: usize,
     /// Whether a durable store backs this system.
     pub persisted: bool,
-    /// Sharded mode: shards whose epoch bumped for this delta — the
-    /// blast radius a cached reader sees. Zero on the flat path (the
-    /// generation bump invalidates wholesale there).
+    /// Shards whose epoch bumped for this delta — the blast radius a
+    /// cached reader sees.
     pub changed_shards: usize,
-    /// Sharded mode: entity fragments that structurally changed across
-    /// the bumped shards — the record-level grain of the delta. Zero on
-    /// the flat path.
+    /// Entity fragments that structurally changed across the bumped
+    /// shards — the record-level grain of the delta.
     pub changed_fragments: usize,
 }
 
@@ -91,22 +93,21 @@ pub struct GmlSnapshot {
     pub epoch: u64,
     /// The immutable global model this epoch serves.
     pub store: Arc<OemStore>,
-    /// What building this epoch cost (materialisation requests on the
-    /// ephemeral path, one amortised local copy on the persisted path).
+    /// What building this epoch cost (one amortised local copy).
     pub build_cost: Cost,
     /// The ranked-search index over the same epoch's wrapper text —
     /// published atomically with the store (one `RwLock` swap installs
     /// both), so `/search` and `/genes` can never observe different
-    /// epochs within one generation. In sharded mode the builder also
-    /// re-checks the epoch vector across store assembly and corpus
-    /// harvest, retrying if a commit landed in between, so the pair
-    /// inside one snapshot comes from one committed state.
+    /// epochs within one generation. The builder re-checks the epoch
+    /// vector across store assembly and corpus harvest, retrying if a
+    /// commit landed in between, so the pair inside one snapshot comes
+    /// from one committed state.
     pub search: Arc<SearchIndex>,
-    /// Sharded mode only: the per-shard epoch vector this snapshot was
-    /// assembled from. The serve tier stamps cache entries with sums
+    /// The per-shard epoch vector this snapshot was assembled from
+    /// (always `Some`). The serve tier stamps cache entries with sums
     /// over this vector for selective invalidation.
     pub shard_epochs: Option<Arc<Vec<u64>>>,
-    /// Sharded mode only: the key router, so response handlers can map
+    /// The key router (always `Some`), so response handlers can map
     /// entity keys to the shards they depend on.
     pub shard_router: Option<ShardRouter>,
 }
@@ -139,39 +140,37 @@ pub struct LorelServed {
     pub explain: PlanExplain,
 }
 
-/// An [`Annoda`] system optionally backed by a WAL + snapshot store.
+/// An [`Annoda`] system serving its global model from a [`ShardedGml`],
+/// optionally backed by per-shard WAL + snapshot segments.
 pub struct DurableSystem {
     system: Annoda,
-    durable: Option<DurableStore>,
-    /// Where persisted search-index segments live (`search.seg` inside
-    /// the data dir); `None` when persistence is off.
-    search_path: Option<PathBuf>,
+    /// The transactional shard vector — the one storage engine.
+    store: Arc<ShardedGml>,
+    /// The data directory; `None` when persistence is off.
+    dir: Option<PathBuf>,
     /// The current serving snapshot; `None` until first use or after an
     /// invalidation. Readers clone the `Arc` and drop the guard before
     /// evaluating.
     snapshot: RwLock<Option<Arc<GmlSnapshot>>>,
     /// Epochs handed out so far.
     epochs: AtomicU64,
-    /// The serving generation: bumps on *every* invalidation (refresh,
-    /// plug, unplug, façade mutation), whether or not a snapshot is
-    /// ever rebuilt. Shared as an `Arc` so the HTTP layer can key its
-    /// response cache and mint `ETag`s without taking the system lock.
+    /// The serving generation: bumps on every wholesale invalidation
+    /// (full refresh, plug, unplug, façade mutation, text-only delta),
+    /// whether or not a snapshot is ever rebuilt. Shared as an `Arc` so
+    /// the HTTP layer can key its response cache and mint `ETag`s
+    /// without taking the system lock.
     generation: Arc<AtomicU64>,
-    /// Replication role and position gauges, shared with the
-    /// replication threads and the HTTP layer.
+    /// Replication role and lag gauges, shared with the replication
+    /// threads and the HTTP layer.
     repl: Arc<ReplShared>,
-    /// Whether the local WAL position is a trusted replication resume
-    /// point (follower opened over a marked or fresh directory).
+    /// Whether the local WAL positions are trusted replication resume
+    /// points (follower opened over a marked or fresh directory).
     follower_resume: bool,
-    /// Sharded mode: the transactional shard vector. When set, the
-    /// flat `durable` store is unused (per-shard WAL segments persist
-    /// instead) and refreshes commit per-shard instead of wholesale.
-    sharded: Option<Arc<ShardedGml>>,
-    /// Sharded mode: set when a wholesale invalidation (plug, unplug,
-    /// façade mutation) may have changed the materialised GML; the next
-    /// snapshot build reconciles it through a transaction so only the
-    /// truly-changed shards bump.
-    sharded_dirty: AtomicBool,
+    /// Set by [`DurableSystem::annoda_mut`], which may change what the
+    /// GML materialises to: the next snapshot build reconciles the
+    /// shard vector through a transaction, so only the truly-changed
+    /// shards bump.
+    dirty: AtomicBool,
     /// In-memory search-index reuse: `(corpus fingerprint, index)` of
     /// the last build. A shard commit that did not change any harvested
     /// text republishes the same index instead of rebuilding — the
@@ -180,91 +179,70 @@ pub struct DurableSystem {
 }
 
 impl DurableSystem {
-    /// Wraps a system with persistence disabled (ephemeral, exactly the
-    /// old behaviour).
-    pub fn new(system: Annoda) -> Self {
+    fn over(system: Annoda, store: ShardedGml, dir: Option<&Path>, role: Role) -> Self {
         DurableSystem {
             system,
-            durable: None,
-            search_path: None,
+            store: Arc::new(store),
+            dir: dir.map(Path::to_path_buf),
             snapshot: RwLock::new(None),
             epochs: AtomicU64::new(0),
             generation: Arc::new(AtomicU64::new(1)),
-            repl: Arc::new(ReplShared::new(Role::Leader)),
+            repl: Arc::new(ReplShared::new(role)),
             follower_resume: false,
-            sharded: None,
-            sharded_dirty: AtomicBool::new(false),
+            dirty: AtomicBool::new(false),
             search_memo: RwLock::new(None),
         }
     }
 
-    /// Wraps a system over an in-memory **sharded** global model:
-    /// MVCC per-shard epochs and concurrent transactional writers, no
+    /// Wraps a system over an in-memory one-shard store, no
+    /// persistence. Infallible: when a source cannot materialise now,
+    /// the store starts empty and the first snapshot build reconciles
+    /// it.
+    pub fn new(system: Annoda) -> Self {
+        let (gml, dirty) = match system.mediator().materialize_gml() {
+            Ok((gml, _cost)) => (gml, false),
+            Err(_) => {
+                let mut empty = OemStore::new();
+                let root = empty.new_complex();
+                empty.set_name(GML_ROOT, root).expect("fresh store");
+                (empty, true)
+            }
+        };
+        let store = ShardedGml::new(&gml, GML_ROOT, 1).expect("a named root partitions");
+        let this = Self::over(system, store, None, Role::Leader);
+        this.dirty.store(dirty, Ordering::Release);
+        this
+    }
+
+    /// Wraps a system over an in-memory store of `shards` shards, no
     /// persistence. The GML is materialised once and partitioned.
     pub fn new_sharded(system: Annoda, shards: usize) -> Result<Self, AnnodaError> {
         let (gml, _cost) = system.mediator().materialize_gml()?;
-        let sharded = Arc::new(ShardedGml::new(&gml, GML_ROOT, shards)?);
-        let mut this = Self::new(system);
-        this.sharded = Some(sharded);
-        Ok(this)
+        let store = ShardedGml::new(&gml, GML_ROOT, shards)?;
+        Ok(Self::over(system, store, None, Role::Leader))
     }
 
-    /// Opens `dir` as a **sharded** durable store: per-shard WAL
-    /// segments and snapshot generations under `dir/shard-NNN/`. A warm
-    /// directory rebuilds the shard vector straight from the recovered
-    /// segments; a cold one materialises the GML once, partitions it,
-    /// and journals every shard.
+    /// Opens `dir` as a durable store of `shards` shards (0 adopts the
+    /// count a warm directory records): per-shard WAL segments and
+    /// snapshot generations under `dir/shard-NNN/`. A warm directory
+    /// rebuilds the shard vector straight from the recovered segments;
+    /// a cold one materialises the GML once, partitions it, and
+    /// journals every shard.
     pub fn open_sharded(
         system: Annoda,
         dir: &Path,
         policy: FsyncPolicy,
         shards: usize,
     ) -> Result<Self, AnnodaError> {
-        let sharded = ShardedGml::open(dir, policy, shards, GML_ROOT, || {
+        let store = ShardedGml::open(dir, policy, shards, GML_ROOT, || {
             let (gml, _cost) = system.mediator().materialize_gml()?;
             Ok(gml)
         })?;
-        let mut this = Self::new(system);
-        this.search_path = Some(dir.join("search.seg"));
-        this.sharded = Some(Arc::new(sharded));
-        Ok(this)
-    }
-
-    /// Opens `dir` (recovering whatever a previous process left) and
-    /// attaches it to `system`. A cold directory gets the materialised
-    /// GML journaled immediately; a warm one serves the recovered GML
-    /// without re-materialising.
-    pub fn open(system: Annoda, dir: &Path, policy: FsyncPolicy) -> Result<Self, AnnodaError> {
-        let mut durable = DurableStore::open(dir, policy)?;
         // This process journals locally from here on; a follower later
         // opened over the same directory must bootstrap via snapshot
         // transfer, not resume from these offsets.
         let _ = std::fs::remove_file(dir.join(FOLLOWER_MARKER));
-        if durable.store().named(GML_ROOT).is_none() {
-            let (gml, _cost) = system.mediator().materialize_gml()?;
-            let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
-            sync_root(&mut durable, GML_ROOT, &gml, root)?;
-        }
-        let mut this = DurableSystem {
-            system,
-            durable: Some(durable),
-            search_path: Some(dir.join("search.seg")),
-            snapshot: RwLock::new(None),
-            epochs: AtomicU64::new(0),
-            generation: Arc::new(AtomicU64::new(1)),
-            repl: Arc::new(ReplShared::new(Role::Leader)),
-            follower_resume: false,
-            sharded: None,
-            sharded_dirty: AtomicBool::new(false),
-            search_memo: RwLock::new(None),
-        };
-        // Make the bootstrap durable regardless of policy: a cold open
-        // under OnSnapshot would otherwise hold the whole GML in page
-        // cache only.
-        if let Some(d) = this.durable.as_mut() {
-            d.sync()?;
-        }
-        Ok(this)
+        Ok(Self::over(system, store, Some(dir), Role::Leader))
     }
 
     /// The wrapped façade.
@@ -274,17 +252,19 @@ impl DurableSystem {
 
     /// Mutable façade access (annotations, eval functions, ...).
     /// Invalidates the serving snapshot — the caller may change what
-    /// the GML materialises to.
+    /// the GML materialises to, so the next snapshot build reconciles
+    /// the shard vector first.
     pub fn annoda_mut(&mut self) -> &mut Annoda {
         *self.snapshot.get_mut() = None;
+        *self.dirty.get_mut() = true;
         self.generation.fetch_add(1, Ordering::Release);
         &mut self.system
     }
 
     /// The current serving generation — a strong cache key for any
     /// response derived from the global model. Two reads returning the
-    /// same value bracket a window in which the GML cannot have
-    /// changed.
+    /// same value bracket a window in which no wholesale invalidation
+    /// happened (shard commits are tracked by the epoch vector).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -296,73 +276,55 @@ impl DurableSystem {
         Arc::clone(&self.generation)
     }
 
-    /// Whether a durable store backs this system (flat WAL or per-shard
-    /// segments).
+    /// Whether per-shard WAL segments back this system.
     pub fn is_durable(&self) -> bool {
-        self.durable.is_some() || self.sharded.as_ref().is_some_and(|s| s.is_durable())
+        self.dir.is_some()
     }
 
-    /// The persisted GML store, when persistence is on and the root has
-    /// been journaled.
-    pub fn persisted_gml(&self) -> Option<&OemStore> {
-        let d = self.durable.as_ref()?;
-        d.store().named(GML_ROOT)?;
-        Some(d.store())
-    }
-
-    /// What recovery found at open time.
+    /// What recovery found at open time, summed over shards.
     pub fn recovery(&self) -> Option<&RecoveryReport> {
-        self.durable.as_ref().map(DurableStore::recovery)
+        self.store.recovery()
     }
 
-    /// Journal/WAL counters for `/metrics`.
+    /// Journal/WAL counters for `/metrics`, summed over shards.
     pub fn persist_stats(&self) -> Option<PersistStats> {
-        self.durable.as_ref().map(DurableStore::stats)
+        self.store.with_durable(|d| d.total_stats())
     }
 
     // -----------------------------------------------------------------
     // replication
 
-    /// Opens `dir` as a read-only follower: never cold-materialises
-    /// (its store advances only by applying the leader's shipped WAL),
-    /// and decides whether the local WAL position can resume the
+    /// Opens `dir` as a read-only follower with `shards` shards (which
+    /// must match the leader's): never materialises (its store advances
+    /// only by applying the leader's shipped per-shard WALs), and
+    /// decides whether the local WAL positions can resume the
     /// subscription. A directory carrying the follower marker — or a
-    /// completely fresh one, trivially in sync at the log base —
-    /// resumes from its own `(generation, wal_offset)`; anything else
-    /// holds locally-journaled bytes and must bootstrap via snapshot
-    /// transfer.
+    /// completely fresh one, trivially in sync at the log bases —
+    /// resumes from its own positions; anything else holds
+    /// locally-journaled bytes and must bootstrap via snapshot transfer.
     pub fn open_follower(
         system: Annoda,
         dir: &Path,
         policy: FsyncPolicy,
+        shards: usize,
     ) -> Result<Self, AnnodaError> {
-        let durable = DurableStore::open(dir, policy)?;
-        let marker = dir.join(FOLLOWER_MARKER);
-        let r = *durable.recovery();
+        let store = ShardedGml::open_replica(dir, policy, shards, GML_ROOT)?;
+        let r = *store.recovery().expect("a replica is durable");
+        let base = (0, DurableStore::wal_base_offset());
         let fresh = !r.snapshot_loaded
             && r.replayed_records == 0
             && r.truncated_bytes == 0
-            && durable.wal_offset() == DurableStore::wal_base_offset();
+            && store
+                .with_durable(|d| d.positions().iter().all(|p| *p == base))
+                .unwrap_or(false);
+        let marker = dir.join(FOLLOWER_MARKER);
         let resume = marker.exists() || fresh;
-        if resume && !marker.exists() {
-            std::fs::write(&marker, b"replica\n")
-                .map_err(|e| AnnodaError::Replication(format!("cannot write marker: {e}")))?;
+        if resume {
+            write_marker(dir)?;
         }
-        let repl = Arc::new(ReplShared::new(Role::Follower));
-        repl.set_applied(durable.generation(), durable.wal_offset());
-        Ok(DurableSystem {
-            system,
-            durable: Some(durable),
-            search_path: Some(dir.join("search.seg")),
-            snapshot: RwLock::new(None),
-            epochs: AtomicU64::new(0),
-            generation: Arc::new(AtomicU64::new(1)),
-            repl,
-            follower_resume: resume,
-            sharded: None,
-            sharded_dirty: AtomicBool::new(false),
-            search_memo: RwLock::new(None),
-        })
+        let mut this = Self::over(system, store, Some(dir), Role::Follower);
+        this.follower_resume = resume;
+        Ok(this)
     }
 
     /// This node's replication role.
@@ -370,169 +332,171 @@ impl DurableSystem {
         self.repl.role()
     }
 
-    /// The shared replication gauges — role, positions, lag — read by
+    /// The shared replication gauges — role, lag, counters — read by
     /// the HTTP layer and written by the replication threads without
     /// taking the system lock.
     pub fn repl_handle(&self) -> Arc<ReplShared> {
         Arc::clone(&self.repl)
     }
 
-    /// The durable `(generation, wal_offset)` position — what `/healthz`
-    /// reports and what read-your-writes clients compare against.
-    pub fn wal_position(&self) -> Option<(u64, u64)> {
-        self.durable
-            .as_ref()
-            .map(|d| (d.generation(), d.wal_offset()))
+    /// The durable per-shard `(generation, wal_offset)` positions —
+    /// what `/healthz` reports and what read-your-writes clients
+    /// compare against, shard by shard. `None` without persistence.
+    pub fn wal_position(&self) -> Option<Vec<Position>> {
+        self.store.with_durable(|d| d.positions())
     }
 
     /// Where a replica client should resume its subscription: the local
-    /// WAL position when it is a trusted replica of the leader's log,
-    /// `None` when only a snapshot transfer can synchronise this node.
-    pub fn replica_resume_position(&self) -> Option<(u64, u64)> {
-        if self.follower_resume {
-            self.wal_position()
-        } else {
-            None
-        }
+    /// WAL positions when they are a trusted replica of the leader's
+    /// logs, `None` when only snapshot transfers can synchronise this
+    /// node.
+    pub fn replica_resume_position(&self) -> Option<Vec<Position>> {
+        self.wal_position().filter(|_| self.follower_resume)
     }
 
-    /// Leader side: reads WAL records for a subscriber positioned at
-    /// `(generation, from_offset)`. `Ok(None)` means the position is
-    /// unservable (stale generation or misaligned offset) and the
-    /// subscriber needs [`DurableSystem::base_snapshot`].
+    /// Leader side: reads `shard`'s WAL records for a subscriber
+    /// positioned at `(generation, from_offset)`. `Ok(None)` means the
+    /// position is unservable (stale generation or misaligned offset)
+    /// and the subscriber needs that shard's
+    /// [`DurableSystem::base_snapshot`].
     pub fn read_wal_tail(
         &self,
+        shard: usize,
         generation: u64,
         from_offset: u64,
         max_bytes: u64,
     ) -> Result<Option<TailRead>, AnnodaError> {
-        let d = self
-            .durable
-            .as_ref()
-            .ok_or_else(|| AnnodaError::Replication("no durable store to tail".into()))?;
-        Ok(d.read_tail(generation, from_offset, max_bytes)?)
+        self.store
+            .with_durable(|d| d.shard(shard).read_tail(generation, from_offset, max_bytes))
+            .ok_or_else(|| AnnodaError::Replication("no durable store to tail".into()))?
+            .map_err(AnnodaError::from)
     }
 
     /// Leader side: the base state a bootstrapping subscriber installs
-    /// before replaying this WAL (the on-disk snapshot, or the empty
-    /// store at generation 0).
-    pub fn base_snapshot(&self) -> Result<(OemStore, u64), AnnodaError> {
-        let d = self
-            .durable
-            .as_ref()
-            .ok_or_else(|| AnnodaError::Replication("no durable store to snapshot".into()))?;
-        Ok(d.base_snapshot()?)
+    /// for `shard` before replaying that shard's WAL (the on-disk
+    /// snapshot, or the empty store at generation 0).
+    pub fn base_snapshot(&self, shard: usize) -> Result<(OemStore, u64), AnnodaError> {
+        self.store
+            .with_durable(|d| d.shard(shard).base_snapshot())
+            .ok_or_else(|| AnnodaError::Replication("no durable store to snapshot".into()))?
+            .map_err(AnnodaError::from)
     }
 
-    /// Follower side: installs a transferred base snapshot, discarding
-    /// all local state, and returns the offset to tail from (the WAL
-    /// base). Marks the directory as a genuine replica so restarts
-    /// resume instead of re-transferring.
+    /// The registered source names, shipped with every snapshot
+    /// transfer (see [`DurableSystem::install_replica_snapshot`]).
+    pub fn source_names(&self) -> Vec<String> {
+        let registry = self.system.registry();
+        registry.sources().iter().map(|d| d.name.clone()).collect()
+    }
+
+    /// Follower side: installs a transferred base snapshot for `shard`,
+    /// discarding that shard's local state, and returns the offset to
+    /// tail from (the WAL base). The snapshot may have sealed away
+    /// unplug events the follower never replayed, so every local source
+    /// missing from the leader's `sources` is unplugged here. Marks the
+    /// directory as a genuine replica so restarts resume instead of
+    /// re-transferring.
     pub fn install_replica_snapshot(
         &mut self,
+        shard: usize,
         store: OemStore,
         generation: u64,
+        sources: &[String],
     ) -> Result<u64, AnnodaError> {
-        if self.repl.role() != Role::Follower {
-            return Err(AnnodaError::Replication(
-                "snapshot install refused: not a follower".into(),
-            ));
+        self.require_follower("snapshot install")?;
+        self.store.replicate(shard, |segment| {
+            Ok(segment.install_snapshot(store, generation)?)
+        })?;
+        for name in self.source_names() {
+            if !sources.contains(&name) {
+                self.system.unplug(&name);
+            }
         }
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or_else(|| AnnodaError::Replication("follower has no durable store".into()))?;
-        d.install_snapshot(store, generation)?;
-        let marker = d.dir().join(FOLLOWER_MARKER);
-        std::fs::write(&marker, b"replica\n")
-            .map_err(|e| AnnodaError::Replication(format!("cannot write marker: {e}")))?;
+        if let Some(dir) = &self.dir {
+            write_marker(dir)?;
+        }
         self.follower_resume = true;
-        let base = DurableStore::wal_base_offset();
-        self.repl.set_applied(generation, base);
         self.invalidate_snapshot();
-        Ok(base)
+        Ok(DurableStore::wal_base_offset())
     }
 
-    /// Follower side: applies one shipped batch of raw WAL record
-    /// payloads. The batch must extend the applied position exactly —
-    /// `(generation, from_offset)` equal to the local WAL head — and
-    /// each record is journaled with its *original* bytes, keeping the
-    /// local log byte-identical to the leader's. Source-unplug events
-    /// are mirrored into the live registry so search harvesting tracks
-    /// the replicated model. Returns the new applied offset.
+    /// Follower side: applies one shipped batch of `shard`'s raw WAL
+    /// record payloads. The batch must extend that shard's applied
+    /// position exactly, and each record is journaled with its
+    /// *original* bytes, keeping the local log byte-identical to the
+    /// leader's. Source-unplug events are mirrored into the live
+    /// registry so search harvesting tracks the replicated model.
+    /// Returns the shard's new applied offset.
     pub fn apply_replica_batch(
         &mut self,
+        shard: usize,
         generation: u64,
         from_offset: u64,
         records: &[Vec<u8>],
     ) -> Result<u64, AnnodaError> {
-        if self.repl.role() != Role::Follower {
-            return Err(AnnodaError::Replication(
-                "batch apply refused: not a follower".into(),
-            ));
-        }
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or_else(|| AnnodaError::Replication("follower has no durable store".into()))?;
-        if generation != d.generation() || from_offset != d.wal_offset() {
+        self.require_follower("batch apply")?;
+        let at = self.wal_position().and_then(|p| p.get(shard).copied());
+        if at != Some((generation, from_offset)) {
             return Err(AnnodaError::Replication(format!(
-                "batch at ({generation}, {from_offset}) does not extend applied \
-                 position ({}, {})",
-                d.generation(),
-                d.wal_offset()
+                "shard {shard} batch at ({generation}, {from_offset}) does not extend \
+                 applied position {at:?}"
             )));
         }
-        let mut unplugs = Vec::new();
-        for payload in records {
-            let record = d.journal_raw(payload)?;
+        if records.is_empty() {
+            return Ok(from_offset);
+        }
+        let decoded = self.store.replicate(shard, |segment| {
+            let decoded: Result<Vec<_>, _> =
+                records.iter().map(|r| segment.journal_raw(r)).collect();
+            Ok(decoded?)
+        })?;
+        for record in decoded {
             if let JournalRecord::SourceEvent {
                 kind: SourceEventKind::Unplug,
                 name,
             } = record
             {
-                unplugs.push(name);
+                self.system.unplug(&name);
             }
         }
-        let applied = d.wal_offset();
-        for name in unplugs {
-            self.system.unplug(&name);
-        }
-        self.repl.set_applied(generation, applied);
-        if !records.is_empty() {
-            self.repl.batches_applied.fetch_add(1, Ordering::Relaxed);
-            self.repl
-                .records_applied
-                .fetch_add(records.len() as u64, Ordering::Relaxed);
-            self.invalidate_snapshot();
-        }
-        Ok(applied)
+        self.repl.batches_applied.fetch_add(1, Ordering::Relaxed);
+        self.repl
+            .records_applied
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.invalidate_snapshot();
+        Ok(self.wal_position().expect("a follower is durable")[shard].1)
     }
 
-    /// Failover: promotes this follower to leader. Seals the replicated
-    /// WAL behind a snapshot (bumping the generation, so stale
-    /// subscribers of the old leader can never mistake the new log for
-    /// the old one), removes the replica marker, and flips the role —
-    /// writes are accepted from here on. Returns the new
-    /// `(generation, wal_offset)` position.
-    pub fn promote(&mut self) -> Result<(u64, u64), AnnodaError> {
+    /// Failover: promotes this follower to leader. Seals every
+    /// replicated shard WAL behind a snapshot (bumping each generation,
+    /// so stale subscribers of the old leader can never mistake the new
+    /// logs for the old ones), removes the replica marker, and flips the
+    /// role — writes are accepted from here on. Returns the new
+    /// per-shard positions.
+    pub fn promote(&mut self) -> Result<Vec<Position>, AnnodaError> {
         if self.repl.role() != Role::Follower {
             return Err(AnnodaError::Replication(
                 "promote refused: already the leader".into(),
             ));
         }
-        let d = self
-            .durable
-            .as_mut()
-            .ok_or_else(|| AnnodaError::Replication("follower has no durable store".into()))?;
-        d.snapshot()?;
-        let _ = std::fs::remove_file(d.dir().join(FOLLOWER_MARKER));
+        self.snapshot_shards(true)?;
+        if let Some(dir) = &self.dir {
+            let _ = std::fs::remove_file(dir.join(FOLLOWER_MARKER));
+        }
         self.follower_resume = false;
-        let position = (d.generation(), d.wal_offset());
-        self.repl.set_applied(position.0, position.1);
         self.repl.set_role(Role::Leader);
         self.invalidate_snapshot();
-        Ok(position)
+        Ok(self.wal_position().expect("a follower is durable"))
+    }
+
+    /// Replica writes are refused unless this node is a follower.
+    fn require_follower(&self, what: &str) -> Result<(), AnnodaError> {
+        if self.repl.role() != Role::Follower {
+            return Err(AnnodaError::Replication(format!(
+                "{what} refused: not a follower"
+            )));
+        }
+        Ok(())
     }
 
     /// Writes (and leader-only admin) are refused on a follower.
@@ -551,15 +515,13 @@ impl DurableSystem {
         Ok(())
     }
 
-    /// Plugs a source, journals the lifecycle event, and re-syncs the
-    /// persisted GML.
+    /// Plugs a source, journals the lifecycle event, and commits the
+    /// re-materialised GML.
     pub fn plug(&mut self, wrapper: Box<dyn Wrapper>) -> Result<PlugReport, AnnodaError> {
         self.require_leader("plug")?;
         let name = wrapper.description().name.clone();
         let report = self.system.plug(wrapper);
-        self.invalidate_snapshot();
-        self.journal_event(SourceEventKind::Plug, &name)?;
-        self.resync()?;
+        self.commit_lifecycle(SourceEventKind::Plug, &name)?;
         Ok(report)
     }
 
@@ -573,73 +535,56 @@ impl DurableSystem {
         self.plug(Box::new(remote))
     }
 
-    /// Unplugs a source, journals the lifecycle event, and re-syncs the
-    /// persisted GML.
+    /// Unplugs a source, journals the lifecycle event, and commits the
+    /// re-materialised GML.
     pub fn unplug(&mut self, name: &str) -> Result<bool, AnnodaError> {
         self.require_leader("unplug")?;
         let removed = self.system.unplug(name);
         if removed {
-            self.invalidate_snapshot();
-            self.journal_event(SourceEventKind::Unplug, name)?;
-            self.resync()?;
+            self.commit_lifecycle(SourceEventKind::Unplug, name)?;
         }
         Ok(removed)
     }
 
+    /// Journals a plug/unplug event into shard 0's log (followers mirror
+    /// unplugs from it), commits the GML the new source set
+    /// materialises, fsyncs, and invalidates wholesale.
+    fn commit_lifecycle(&mut self, kind: SourceEventKind, name: &str) -> Result<(), AnnodaError> {
+        let event = JournalRecord::SourceEvent {
+            kind,
+            name: name.to_string(),
+        };
+        self.store
+            .with_durable(|d| d.shard_mut(0).journal(&event))
+            .transpose()?;
+        self.resync()?;
+        self.store.sync()?;
+        self.invalidate_snapshot();
+        Ok(())
+    }
+
     /// Refreshes every wrapper from its native database (invalidating
-    /// the mediator's subquery cache and the serving snapshot) and
-    /// journals the GML delta.
+    /// the mediator's subquery cache) and commits the GML delta. Re-
+    /// pulling everything is a wholesale invalidation: the serving
+    /// generation turns even when no shard changed.
     pub fn refresh(&mut self) -> Result<RefreshOutcome, AnnodaError> {
         self.require_leader("refresh")?;
         let refreshed_objects = self.system.registry_mut().mediator_mut().refresh_all();
-        self.commit_refreshed("all", refreshed_objects)
+        let outcome = self.commit_refreshed(refreshed_objects)?;
+        self.invalidate_snapshot();
+        Ok(outcome)
     }
 
     /// The shared tail of every refresh-shaped write: commits the
-    /// re-materialised GML. Sharded mode bumps only the truly-changed
-    /// shards (no generation bump — shard epochs carry the
-    /// invalidation) and reports the blast radius; the flat path
-    /// journals the delta wholesale and invalidates by generation.
-    fn commit_refreshed(
-        &mut self,
-        event_name: &str,
-        refreshed_objects: usize,
-    ) -> Result<RefreshOutcome, AnnodaError> {
-        if self.sharded.is_some() {
-            return self.sharded_commit_refreshed(refreshed_objects);
-        }
-        self.invalidate_snapshot();
-        let mut journaled_records = 0;
-        if self.durable.is_some() {
-            self.journal_event(SourceEventKind::Refresh, event_name)?;
-            journaled_records = 1 + self.resync()?;
-            if let Some(d) = self.durable.as_mut() {
-                d.sync()?;
-            }
-        }
-        Ok(RefreshOutcome {
-            refreshed_objects,
-            journaled_records,
-            persisted: self.durable.is_some(),
-            changed_shards: 0,
-            changed_fragments: 0,
-        })
-    }
-
-    /// The sharded half of [`DurableSystem::commit_refreshed`],
-    /// deliberately `&self`: every step — materialise, stage, the
-    /// first-writer-wins commit, snapshot invalidation — works through
-    /// shared handles, so concurrent readers keep serving the previous
-    /// epoch vector while the commit runs.
-    fn sharded_commit_refreshed(
-        &self,
-        refreshed_objects: usize,
-    ) -> Result<RefreshOutcome, AnnodaError> {
-        let sharded = self
-            .sharded
-            .as_ref()
-            .expect("sharded_commit_refreshed requires sharded mode");
-        let (outcome, changed_fragments) = self.sharded_resync()?;
+    /// re-materialised GML, bumping only the truly-changed shards (no
+    /// generation bump — shard epochs carry the invalidation), and
+    /// reports the blast radius. Deliberately `&self`: every step —
+    /// materialise, stage, the first-writer-wins commit, snapshot
+    /// invalidation — works through shared handles, so concurrent
+    /// readers keep serving the previous epoch vector while the commit
+    /// runs.
+    fn commit_refreshed(&self, refreshed_objects: usize) -> Result<RefreshOutcome, AnnodaError> {
+        let (outcome, changed_fragments) = self.resync()?;
         if !outcome.changed.is_empty() {
             *self.snapshot.write() = None;
         } else if self.search_is_stale() {
@@ -650,76 +595,54 @@ impl DurableSystem {
             *self.snapshot.write() = None;
             self.generation.fetch_add(1, Ordering::Release);
         }
-        sharded.sync()?;
+        self.store.sync()?;
         Ok(RefreshOutcome {
             refreshed_objects,
             journaled_records: outcome.journaled,
-            persisted: sharded.is_durable(),
+            persisted: self.is_durable(),
             changed_shards: outcome.changed.len(),
             changed_fragments,
         })
     }
 
     /// Drops the serving snapshot; the next query builds (and swaps in)
-    /// a fresh epoch. Bumps the serving generation so epoch-keyed
-    /// response caches invalidate wholesale. In sharded mode the next
-    /// snapshot build additionally reconciles the shard vector through
-    /// a transaction, so per-shard epochs advance only where the model
-    /// really changed.
+    /// a fresh epoch. Bumps the serving generation so response caches
+    /// invalidate wholesale.
     fn invalidate_snapshot(&self) {
         *self.snapshot.write() = None;
-        if self.sharded.is_some() {
-            self.sharded_dirty.store(true, Ordering::Release);
-        }
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    // -----------------------------------------------------------------
-    // sharded mode
-
-    /// The sharded transactional model, in sharded mode.
-    pub fn sharded_handle(&self) -> Option<Arc<ShardedGml>> {
-        self.sharded.as_ref().map(Arc::clone)
+    /// The transactional shard vector.
+    pub fn shards(&self) -> &Arc<ShardedGml> {
+        &self.store
     }
 
-    /// Whether this system serves a sharded store.
-    pub fn is_sharded(&self) -> bool {
-        self.sharded.is_some()
-    }
-
-    /// Shared live epoch vector, for the serve tier's cache stamps.
+    /// Shared live epoch vector, for the serve tier's cache stamps
+    /// (always `Some`).
     pub fn shard_epochs_handle(&self) -> Option<EpochsHandle> {
-        self.sharded.as_ref().map(|s| s.epochs_handle())
-    }
-
-    /// Per-shard gauges for `/metrics`, in sharded mode.
-    pub fn shard_gauges(&self) -> Option<Vec<ShardGauges>> {
-        self.sharded.as_ref().map(|s| s.shard_gauges())
-    }
-
-    /// Transaction counters for `/metrics`, in sharded mode.
-    pub fn txn_stats(&self) -> Option<TxnStats> {
-        self.sharded.as_ref().map(|s| s.txn_stats())
+        Some(self.store.epochs_handle())
     }
 
     /// Materialises the current GML and commits it through a
     /// transaction, retrying on first-writer-wins conflicts (other
     /// writers may hold direct [`ShardedGml`] handles). Only the shards
     /// the new materialisation actually changed bump their epochs.
-    fn sharded_resync(&self) -> Result<(CommitOutcome, usize), AnnodaError> {
-        let sharded = self
-            .sharded
-            .as_ref()
-            .expect("sharded_resync requires sharded mode");
+    fn resync(&self) -> Result<(CommitOutcome, usize), AnnodaError> {
         const RETRIES: usize = 16;
         let mut last = None;
         for _ in 0..RETRIES {
             let (gml, _cost) = self.system.mediator().materialize_gml()?;
-            let mut txn = sharded.begin();
+            let mut txn = self.store.begin();
             txn.stage(&gml)?;
             let changed_fragments = txn.changed_fragment_count();
-            match sharded.commit(txn) {
-                Ok(outcome) => return Ok((outcome, changed_fragments)),
+            match self.store.commit(txn) {
+                Ok(outcome) => {
+                    // Everything `annoda_mut` could have changed is in
+                    // this materialisation.
+                    self.dirty.store(false, Ordering::Release);
+                    return Ok((outcome, changed_fragments));
+                }
                 Err(CommitError::Conflict { shards }) => {
                     last = Some(shards);
                     continue;
@@ -734,10 +657,9 @@ impl DurableSystem {
     }
 
     /// Re-pulls **one** source from its native database and commits the
-    /// delta transactionally. In sharded mode only the shards holding
-    /// that source's changed entities bump — every cached response that
-    /// does not depend on them stays valid. Without sharding this
-    /// degrades to a wholesale refresh of the one wrapper.
+    /// delta transactionally: only the shards holding that source's
+    /// changed entities bump — every cached response that does not
+    /// depend on them stays valid.
     pub fn refresh_source(&mut self, name: &str) -> Result<RefreshOutcome, AnnodaError> {
         self.require_leader("refresh")?;
         let refreshed_objects = self
@@ -746,23 +668,25 @@ impl DurableSystem {
             .mediator_mut()
             .refresh_source(name)
             .ok_or_else(|| AnnodaError::Mediator(MediatorError::UnknownSource(name.to_string())))?;
-        self.commit_refreshed(name, refreshed_objects)
+        self.commit_refreshed(refreshed_objects)
     }
 
     /// Applies one change-feed batch from `source`'s feed (see
     /// `annoda_federation::feed`) and commits the resulting delta —
     /// the push-based sibling of [`DurableSystem::refresh_source`],
-    /// which re-pulls the whole native database instead.
+    /// which re-pulls the whole native database instead. Equivalent to
+    /// [`DurableSystem::absorb_apply`] then
+    /// [`DurableSystem::absorb_commit`].
     ///
     /// Upserts (`flat: Some`) and deletes (`flat: None`) mutate the
     /// local wrapper's native database record-by-record; a `bootstrap`
     /// batch *replaces* it with the feed's full dump. Either way the
     /// wrapper then re-materialises once per batch, and the commit
-    /// rides the same transactional path as a pull refresh: in sharded
-    /// mode only the shards holding touched entities bump their epochs,
-    /// and only their WAL segments journal the delta. The search index
-    /// is refreshed incrementally — untouched sources keep their
-    /// in-memory postings (see
+    /// rides the same transactional path as a pull refresh: only the
+    /// shards holding touched entities bump their epochs, and only
+    /// their WAL segments journal the delta. The search index is
+    /// refreshed incrementally — untouched sources keep their in-memory
+    /// postings (see
     /// [`annoda_search::SearchIndex::with_source_updated`]).
     ///
     /// The caller must acknowledge the batch upstream only after this
@@ -775,12 +699,7 @@ impl DurableSystem {
         bootstrap: bool,
     ) -> Result<RefreshOutcome, AnnodaError> {
         let refreshed_objects = self.absorb_apply(source, records, bootstrap)?;
-        if self.sharded.is_some() {
-            return self.absorb_commit(source, refreshed_objects);
-        }
-        let outcome = self.commit_refreshed(source, refreshed_objects)?;
-        self.refresh_search_incrementally(source);
-        Ok(outcome)
+        self.absorb_commit(source, refreshed_objects)
     }
 
     /// The exclusive half of [`DurableSystem::absorb_delta`]: applies
@@ -830,13 +749,13 @@ impl DurableSystem {
             .ok_or_else(unknown)
     }
 
-    /// The shared half of [`DurableSystem::absorb_delta`], sharded mode
-    /// only: materialises the post-apply model, commits it through the
-    /// first-writer-wins transaction path (bumping only the shards the
-    /// delta touched), and refreshes `source`'s slice of the search
-    /// index. `&self` throughout — concurrent readers keep serving the
-    /// previous epoch vector, and a reader racing the commit assembles
-    /// the last *committed* state, never a half-applied one.
+    /// The shared half of [`DurableSystem::absorb_delta`]: materialises
+    /// the post-apply model, commits it through the first-writer-wins
+    /// transaction path (bumping only the shards the delta touched),
+    /// and refreshes `source`'s slice of the search index. `&self`
+    /// throughout — concurrent readers keep serving the previous epoch
+    /// vector, and a reader racing the commit assembles the last
+    /// *committed* state, never a half-applied one.
     ///
     /// A crash between `absorb_apply` and this commit is safe: the
     /// batch was never acked, so the feed replays it and the
@@ -846,12 +765,7 @@ impl DurableSystem {
         source: &str,
         refreshed_objects: usize,
     ) -> Result<RefreshOutcome, AnnodaError> {
-        if self.sharded.is_none() {
-            return Err(AnnodaError::Txn(
-                "absorb_commit requires sharded mode (use absorb_delta)".to_string(),
-            ));
-        }
-        let outcome = self.sharded_commit_refreshed(refreshed_objects)?;
+        let outcome = self.commit_refreshed(refreshed_objects)?;
         self.refresh_search_incrementally(source);
         Ok(outcome)
     }
@@ -867,6 +781,12 @@ impl DurableSystem {
         };
         let docs = self.system.mediator().harvest_text_docs();
         docs_fingerprint(&docs) != published
+    }
+
+    /// Where persisted search-index segments live (`search.seg` inside
+    /// the data dir); `None` when persistence is off.
+    fn search_path(&self) -> Option<PathBuf> {
+        self.dir.as_ref().map(|dir| dir.join("search.seg"))
     }
 
     /// Rebuilds only `source`'s slice of the memoised search index
@@ -909,73 +829,28 @@ impl DurableSystem {
             .map(|(_, d)| d.as_slice())
             .unwrap_or(&[]);
         let updated = Arc::new(index.with_source_updated(source, source_docs, fingerprint));
-        if let Some(path) = &self.search_path {
+        if let Some(path) = self.search_path() {
             // Best effort, like every segment save.
-            let _ = save_segments(path, &updated);
+            let _ = save_segments(&path, &updated);
         }
         *memo = Some((fingerprint, updated));
     }
 
     /// The current serving snapshot, building one if none is live.
     ///
-    /// Fast path: one brief read-lock to clone the `Arc`. Slow path
-    /// (first query of an epoch): the GML is copied from the persisted
-    /// store — the *only* full-store copy the epoch will ever pay — or
-    /// materialised from the wrappers when persistence is off, then
-    /// installed under a write lock. Evaluation never runs under this
-    /// lock.
+    /// Fast path: one brief read-lock to clone the `Arc`, valid while
+    /// the live epoch vector still equals the one it was assembled
+    /// from. Slow path: after a façade mutation the shard vector is
+    /// first reconciled through a transaction (leader only — a
+    /// follower's store moves only by replication); the store is then
+    /// reassembled from the shards — shared with
+    /// [`ShardedGml::assembled`]'s per-vector cache, so the only
+    /// per-commit cost is reassembling, never a store copy per query —
+    /// and installed under a write lock. Evaluation never runs under
+    /// this lock.
     pub fn query_snapshot(&self) -> Result<Arc<GmlSnapshot>, AnnodaError> {
-        if let Some(sharded) = self.sharded.as_ref() {
-            return self.query_snapshot_sharded(sharded);
-        }
-        if let Some(s) = self.snapshot.read().as_ref() {
-            return Ok(Arc::clone(s));
-        }
-        let (store, build_cost) = match self.persisted_gml() {
-            Some(gml) => {
-                let mut cost = Cost::new();
-                cost.charge(&LatencyModel::local(), gml.len() as u64);
-                (gml.clone(), cost)
-            }
-            None => {
-                let (gml, cost) = self.system.mediator().materialize_gml()?;
-                (gml, cost)
-            }
-        };
-        let search = self.build_search_index();
-        let mut guard = self.snapshot.write();
-        if let Some(s) = guard.as_ref() {
-            // A racing builder installed an epoch first; serve that one.
-            return Ok(Arc::clone(s));
-        }
-        let snap = Arc::new(GmlSnapshot {
-            epoch: self.epochs.fetch_add(1, Ordering::Relaxed) + 1,
-            store: Arc::new(store),
-            build_cost,
-            search,
-            shard_epochs: None,
-            shard_router: None,
-        });
-        *guard = Some(Arc::clone(&snap));
-        Ok(snap)
-    }
-
-    /// Sharded snapshot path. The cached snapshot is keyed by the epoch
-    /// vector it was assembled from: a commit that bumped any shard
-    /// makes it stale, an untouched vector serves it as-is. The
-    /// assembly itself is shared with [`ShardedGml::assembled`]'s
-    /// per-vector cache, so the *only* per-commit cost is reassembling
-    /// — never a store copy per query.
-    fn query_snapshot_sharded(
-        &self,
-        sharded: &Arc<ShardedGml>,
-    ) -> Result<Arc<GmlSnapshot>, AnnodaError> {
-        // Wholesale invalidations (plug/unplug/façade mutation) must be
-        // reconciled into the shard vector before serving.
-        if self.sharded_dirty.swap(false, Ordering::AcqRel) {
-            self.sharded_resync()?;
-        }
-        let live = sharded.epoch_vector();
+        self.reconcile()?;
+        let live = self.store.epoch_vector();
         if let Some(s) = self.snapshot.read().as_ref() {
             if s.shard_epochs.as_deref() == Some(live.as_ref()) {
                 return Ok(Arc::clone(s));
@@ -990,13 +865,13 @@ impl DurableSystem {
         // brackets an unchanged corpus.) Bounded: each retry means a
         // whole commit landed during one snapshot build.
         const PAIR_RETRIES: usize = 8;
-        let (mut vector, mut store) = sharded.assembled();
+        let (mut vector, mut store) = self.store.assembled();
         let mut search = self.build_search_index();
         for _ in 0..PAIR_RETRIES {
-            if *sharded.epoch_vector() == vector {
+            if *self.store.epoch_vector() == vector {
                 break;
             }
-            (vector, store) = sharded.assembled();
+            (vector, store) = self.store.assembled();
             search = self.build_search_index();
         }
         let mut build_cost = Cost::new();
@@ -1013,10 +888,23 @@ impl DurableSystem {
             build_cost,
             search,
             shard_epochs: Some(Arc::new(vector)),
-            shard_router: Some(sharded.router()),
+            shard_router: Some(self.store.router()),
         });
         *guard = Some(Arc::clone(&snap));
         Ok(snap)
+    }
+
+    /// Settles a pending [`DurableSystem::annoda_mut`] reconcile through
+    /// one transaction — leader only: a follower's store moves only by
+    /// replication.
+    fn reconcile(&self) -> Result<(), AnnodaError> {
+        if self.dirty.swap(false, Ordering::AcqRel) && self.role() == Role::Leader {
+            if let Err(e) = self.resync() {
+                self.dirty.store(true, Ordering::Release);
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 
     /// The epoch's search index: harvest the wrappers' text documents,
@@ -1035,15 +923,15 @@ impl DurableSystem {
                 return Arc::clone(index);
             }
         }
-        let index = if let Some(index) = self
-            .search_path
+        let path = self.search_path();
+        let index = if let Some(index) = path
             .as_ref()
             .and_then(|path| load_segments(path, fingerprint))
         {
             Arc::new(index)
         } else {
             let index = SearchIndex::build(&docs);
-            if let Some(path) = &self.search_path {
+            if let Some(path) = &path {
                 // Best effort — the segment file is a startup
                 // accelerator, not a durability obligation.
                 let _ = save_segments(path, &index);
@@ -1135,60 +1023,61 @@ impl DurableSystem {
     }
 
     /// Runs a Lorel query, returning an owned store the answer lives
-    /// in. Warm path: when a persisted GML exists the query runs
-    /// against a clone of it — no wrapper traffic, but one full-store
-    /// copy per call (the baseline [`DurableSystem::lorel_shared`]
-    /// exists to beat; `bench_report --mode query-serve` measures both).
-    /// Ephemeral fallback: the façade materialises as usual. The
-    /// returned [`Cost`] now carries the real local charges — the
-    /// per-request copy plus per-row evaluation — instead of the zero
-    /// cost this path historically reported.
+    /// in: a clone of the current assembled store — one full-store copy
+    /// per call and no serving snapshot, the baseline
+    /// [`DurableSystem::lorel_shared`] exists to beat (`bench_report
+    /// query-serve` measures both). The returned
+    /// [`Cost`] carries the real local charges — the per-request copy
+    /// plus per-row evaluation.
     pub fn lorel(&self, text: &str) -> Result<(OemStore, QueryOutcome, Cost), AnnodaError> {
-        match self.persisted_gml() {
-            Some(gml) => {
-                let base_len = gml.len();
-                let mut store = gml.clone();
-                let outcome = run_query_with(&mut store, text, &FunctionRegistry::standard())
-                    .map_err(|e| AnnodaError::Mediator(MediatorError::Lorel(e)))?;
-                let mut cost = Cost::new();
-                cost.charge(&LatencyModel::local(), base_len as u64);
-                cost.charge(&LatencyModel::local(), outcome.rows.len() as u64);
-                Ok((store, outcome, cost))
-            }
-            None => self.system.lorel(text),
-        }
+        self.reconcile()?;
+        let (_, gml) = self.store.assembled();
+        let mut store = (*gml).clone();
+        let outcome = run_query_with(&mut store, text, &FunctionRegistry::standard())
+            .map_err(|e| AnnodaError::Mediator(MediatorError::Lorel(e)))?;
+        let mut cost = Cost::new();
+        cost.charge(&LatencyModel::local(), gml.len() as u64);
+        cost.charge(&LatencyModel::local(), outcome.rows.len() as u64);
+        Ok((store, outcome, cost))
     }
 
-    /// Writes a point-in-time snapshot and truncates the journal.
-    /// `Ok(None)` when persistence is off.
+    /// Snapshots every shard whose WAL holds records and truncates
+    /// those logs. `Ok(None)` when persistence is off.
     pub fn snapshot(&mut self) -> Result<Option<SnapshotMeta>, AnnodaError> {
         self.require_leader("snapshot")?;
-        match self.durable.as_mut() {
-            Some(d) => Ok(Some(d.snapshot()?)),
-            None => Ok(None),
-        }
+        self.snapshot_shards(false)
     }
 
-    fn journal_event(&mut self, kind: SourceEventKind, name: &str) -> Result<(), AnnodaError> {
-        if let Some(d) = self.durable.as_mut() {
-            d.journal(&JournalRecord::SourceEvent {
-                kind,
-                name: name.to_string(),
-            })?;
-        }
-        Ok(())
+    /// Snapshots every shard (`every`) or only those with a non-empty
+    /// WAL, returning the summed object and byte counts under the
+    /// highest resulting generation.
+    fn snapshot_shards(&self, every: bool) -> Result<Option<SnapshotMeta>, AnnodaError> {
+        let base = DurableStore::wal_base_offset();
+        self.store
+            .with_durable(|d| {
+                let mut total = SnapshotMeta {
+                    generation: 0,
+                    objects: 0,
+                    bytes: 0,
+                };
+                for i in 0..d.shard_count() {
+                    if every || d.shard(i).wal_offset() > base {
+                        let meta = d.shard_mut(i).snapshot()?;
+                        total.objects += meta.objects;
+                        total.bytes += meta.bytes;
+                    }
+                    total.generation = total.generation.max(d.shard(i).generation());
+                }
+                Ok::<_, AnnodaError>(total)
+            })
+            .transpose()
     }
+}
 
-    /// Re-materialises GML and journals the delta against the persisted
-    /// copy. Returns the number of records journaled.
-    fn resync(&mut self) -> Result<usize, AnnodaError> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(0);
-        };
-        let (gml, _cost) = self.system.mediator().materialize_gml()?;
-        let root = gml.named(GML_ROOT).expect("materialize_gml names its root");
-        Ok(sync_root(d, GML_ROOT, &gml, root)?)
-    }
+/// Marks `dir` as holding genuine replica logs.
+fn write_marker(dir: &Path) -> Result<(), AnnodaError> {
+    std::fs::write(dir.join(FOLLOWER_MARKER), b"replica\n")
+        .map_err(|e| AnnodaError::Replication(format!("cannot write marker: {e}")))
 }
 
 #[cfg(test)]
@@ -1209,6 +1098,16 @@ mod tests {
         dir
     }
 
+    /// A one-shard durable store over `dir`.
+    fn open(system: Annoda, dir: &Path) -> DurableSystem {
+        DurableSystem::open_sharded(system, dir, FsyncPolicy::Always, 1).unwrap()
+    }
+
+    /// The canonical encoding of the served global model.
+    fn served_bytes(sys: &DurableSystem) -> Vec<u8> {
+        encode_store(&sys.query_snapshot().unwrap().store)
+    }
+
     #[test]
     fn ephemeral_system_still_answers() {
         let sys = DurableSystem::new(system());
@@ -1223,17 +1122,17 @@ mod tests {
     #[test]
     fn cold_open_then_warm_open_serves_identical_gml() {
         let dir = tmp_dir("coldwarm");
-        let cold = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let cold = open(system(), &dir);
         assert!(cold.is_durable());
         let report = *cold.recovery().unwrap();
         assert!(!report.snapshot_loaded);
-        let cold_bytes = encode_store(cold.persisted_gml().unwrap());
+        let cold_bytes = served_bytes(&cold);
         drop(cold); // no snapshot: simulate an unclean exit
 
-        let warm = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let warm = open(system(), &dir);
         let report = *warm.recovery().unwrap();
         assert!(report.replayed_records > 0, "WAL replay restored GML");
-        assert_eq!(encode_store(warm.persisted_gml().unwrap()), cold_bytes);
+        assert_eq!(served_bytes(&warm), cold_bytes);
 
         // Warm queries answer from the recovered store.
         let (gml, outcome, _cost) = warm
@@ -1267,10 +1166,11 @@ mod tests {
     #[test]
     fn refresh_journals_and_snapshot_truncates() {
         let dir = tmp_dir("refresh");
-        let mut sys = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let mut sys = open(system(), &dir);
+        mutate_locus(&mut sys, 1000, "refresh journals this description");
         let outcome = sys.refresh().unwrap();
         assert!(outcome.persisted);
-        assert!(outcome.journaled_records >= 1, "at least the marker");
+        assert!(outcome.journaled_records >= 1, "the delta is journaled");
         let before = sys.persist_stats().unwrap();
         let meta = sys.snapshot().unwrap().unwrap();
         assert!(meta.objects > 0);
@@ -1315,7 +1215,7 @@ mod tests {
     #[test]
     fn search_segments_persist_and_warm_load_identically() {
         let dir = tmp_dir("searchseg");
-        let cold = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let cold = open(system(), &dir);
         let term = live_term(&cold);
         let cold_hits = cold.search_shared(&term, 10, FusionStrategy::Rrf).unwrap();
         assert!(
@@ -1324,7 +1224,7 @@ mod tests {
         );
         drop(cold);
 
-        let warm = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let warm = open(system(), &dir);
         let warm_hits = warm.search_shared(&term, 10, FusionStrategy::Rrf).unwrap();
         assert_eq!(
             warm_hits, cold_hits,
@@ -1347,25 +1247,32 @@ mod tests {
         assert!(!hits.is_empty(), "rebuilt index still answers");
     }
 
-    /// Manually pumps the leader's WAL into the follower — the same
-    /// install/apply sequence the socket-level replica client drives.
+    /// Manually pumps the leader's shard WALs into the follower — the
+    /// same install/apply sequence the socket-level replica client
+    /// drives.
     fn pump(leader: &DurableSystem, follower: &mut DurableSystem) {
-        loop {
-            let (generation, offset) = follower.wal_position().unwrap();
-            match leader.read_wal_tail(generation, offset, u64::MAX).unwrap() {
-                Some(tail) => {
-                    follower
-                        .apply_replica_batch(tail.generation, offset, &tail.records)
-                        .unwrap();
-                    if tail.next_offset == tail.end_offset {
-                        return;
+        for shard in 0..leader.shards().shard_count() {
+            loop {
+                let (generation, offset) = follower.wal_position().unwrap()[shard];
+                match leader
+                    .read_wal_tail(shard, generation, offset, u64::MAX)
+                    .unwrap()
+                {
+                    Some(tail) => {
+                        follower
+                            .apply_replica_batch(shard, tail.generation, offset, &tail.records)
+                            .unwrap();
+                        if tail.next_offset == tail.end_offset {
+                            break;
+                        }
                     }
-                }
-                None => {
-                    let (store, generation) = leader.base_snapshot().unwrap();
-                    follower
-                        .install_replica_snapshot(store, generation)
-                        .unwrap();
+                    None => {
+                        let (store, generation) = leader.base_snapshot(shard).unwrap();
+                        let sources = leader.source_names();
+                        follower
+                            .install_replica_snapshot(shard, store, generation, &sources)
+                            .unwrap();
+                    }
                 }
             }
         }
@@ -1375,9 +1282,10 @@ mod tests {
     fn follower_replays_leader_writes_and_mirrors_unplug() {
         let leader_dir = tmp_dir("repl-leader");
         let follower_dir = tmp_dir("repl-follower");
-        let mut leader = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+        let mut leader =
+            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 3).unwrap();
         let mut follower =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always, 3).unwrap();
         assert_eq!(follower.role(), Role::Follower);
         assert!(
             follower.replica_resume_position().is_some(),
@@ -1386,8 +1294,8 @@ mod tests {
 
         pump(&leader, &mut follower);
         assert_eq!(
-            encode_store(follower.persisted_gml().unwrap()),
-            encode_store(leader.persisted_gml().unwrap()),
+            served_bytes(&follower),
+            served_bytes(&leader),
             "bootstrap converges"
         );
 
@@ -1396,8 +1304,8 @@ mod tests {
         assert!(leader.unplug("OMIM").unwrap());
         pump(&leader, &mut follower);
         assert_eq!(
-            encode_store(follower.persisted_gml().unwrap()),
-            encode_store(leader.persisted_gml().unwrap()),
+            served_bytes(&follower),
+            served_bytes(&leader),
             "write replicates"
         );
         assert_eq!(follower.wal_position(), leader.wal_position());
@@ -1418,37 +1326,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&follower_dir);
     }
 
+    /// An automatic compaction can seal shard 0's unplug event before a
+    /// follower reads it; the snapshot transfer still carries the
+    /// unplug over, through the leader's source list.
+    #[test]
+    fn follower_mirrors_an_unplug_that_compaction_sealed() {
+        let leader_dir = tmp_dir("sealed-leader");
+        let follower_dir = tmp_dir("sealed-follower");
+        let mut leader =
+            DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, 1).unwrap();
+        let mut follower =
+            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
+        pump(&leader, &mut follower);
+
+        assert!(leader.unplug("OMIM").unwrap());
+        let sealed_from = leader.wal_position().unwrap()[0].0;
+        let mut step = 0u32;
+        while leader.wal_position().unwrap()[0].0 == sealed_from {
+            mutate_locus(
+                &mut leader,
+                1000,
+                &format!("edit {step} {}", "x".repeat(4000)),
+            );
+            leader.refresh_source("LocusLink").unwrap();
+            step += 1;
+            assert!(step < 200, "edits never pushed shard 0 over its bound");
+        }
+
+        pump(&leader, &mut follower);
+        assert_eq!(served_bytes(&follower), served_bytes(&leader));
+        assert!(
+            !follower.source_names().iter().any(|n| n == "OMIM"),
+            "the follower still lists the unplugged source: {:?}",
+            follower.source_names()
+        );
+        let _ = std::fs::remove_dir_all(&leader_dir);
+        let _ = std::fs::remove_dir_all(&follower_dir);
+    }
+
     #[test]
     fn follower_restart_resumes_without_snapshot_transfer() {
         let leader_dir = tmp_dir("resume-leader");
         let follower_dir = tmp_dir("resume-follower");
-        let mut leader = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+        let mut leader = open(system(), &leader_dir);
         // Put the leader past generation 0 so a bootstrap needs a
         // genuine snapshot transfer.
         leader.snapshot().unwrap();
         leader.refresh().unwrap();
 
         let mut follower =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
         pump(&leader, &mut follower);
         let position = follower.wal_position();
         drop(follower);
 
         // Restart: the marker makes the local position trustworthy.
         let follower2 =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
         assert_eq!(follower2.replica_resume_position(), position);
-        assert_eq!(
-            encode_store(follower2.persisted_gml().unwrap()),
-            encode_store(leader.persisted_gml().unwrap())
-        );
+        assert_eq!(served_bytes(&follower2), served_bytes(&leader));
 
         // A directory that once journaled locally must NOT resume.
         drop(follower2);
-        let local = DurableSystem::open(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+        let local = open(system(), &follower_dir);
         drop(local);
         let follower3 =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
         assert!(
             follower3.replica_resume_position().is_none(),
             "locally-journaled bytes force a snapshot transfer"
@@ -1461,9 +1404,9 @@ mod tests {
     fn follower_refuses_writes_until_promoted() {
         let leader_dir = tmp_dir("promote-leader");
         let follower_dir = tmp_dir("promote-follower");
-        let leader = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+        let leader = open(system(), &leader_dir);
         let mut follower =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always, 1).unwrap();
         pump(&leader, &mut follower);
 
         assert!(matches!(
@@ -1478,14 +1421,19 @@ mod tests {
             follower.snapshot(),
             Err(AnnodaError::Replication(_))
         ));
-        // Batches that do not extend the applied position are refused.
-        let (generation, offset) = follower.wal_position().unwrap();
+        // Batches that do not extend the applied position are refused,
+        // and so are shards the store does not have.
+        let (generation, offset) = follower.wal_position().unwrap()[0];
         assert!(matches!(
-            follower.apply_replica_batch(generation, offset + 1, &[vec![0]]),
+            follower.apply_replica_batch(0, generation, offset + 1, &[vec![0]]),
             Err(AnnodaError::Replication(_))
         ));
         assert!(matches!(
-            follower.apply_replica_batch(generation + 1, offset, &[]),
+            follower.apply_replica_batch(0, generation + 1, offset, &[]),
+            Err(AnnodaError::Replication(_))
+        ));
+        assert!(matches!(
+            follower.apply_replica_batch(1, generation, offset, &[]),
             Err(AnnodaError::Replication(_))
         ));
 
@@ -1494,8 +1442,8 @@ mod tests {
         // identical raw bytes.
         let q = "select count(GML.Gene) from ANNODA-GML GML";
         let before_rows = follower.lorel(q).unwrap().1.rows.len();
-        let old_generation = follower.wal_position().unwrap().0;
-        let (new_generation, _offset) = follower.promote().unwrap();
+        let old_generation = follower.wal_position().unwrap()[0].0;
+        let (new_generation, _offset) = follower.promote().unwrap()[0];
         assert_eq!(follower.role(), Role::Leader);
         assert!(new_generation > old_generation, "promotion seals the WAL");
         assert_eq!(
@@ -1511,7 +1459,7 @@ mod tests {
         ));
         // The old leader cannot ship to a promoted node.
         assert!(matches!(
-            follower.apply_replica_batch(new_generation, 13, &[]),
+            follower.apply_replica_batch(0, new_generation, 13, &[]),
             Err(AnnodaError::Replication(_))
         ));
         let _ = std::fs::remove_dir_all(&leader_dir);
@@ -1534,9 +1482,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_mode_answers_identically_to_flat() {
+    fn four_shards_answer_identically_to_one() {
         let sharded = DurableSystem::new_sharded(system(), 4).unwrap();
-        assert!(sharded.is_sharded());
         let flat = DurableSystem::new(system());
         let q = "select count(GML.Gene) from ANNODA-GML GML";
         assert_eq!(
@@ -1559,7 +1506,7 @@ mod tests {
     #[test]
     fn sharded_refresh_source_bumps_only_touched_shards() {
         let mut sys = DurableSystem::new_sharded(system(), 4).unwrap();
-        let handle = sys.sharded_handle().unwrap();
+        let handle = Arc::clone(sys.shards());
         let _ = sys.query_snapshot().unwrap();
         let g0 = sys.generation();
         let e0 = handle.epoch_vector();
@@ -1589,10 +1536,10 @@ mod tests {
         // The new description is served.
         let snap = sys.query_snapshot().unwrap();
         assert_eq!(snap.shard_epochs.as_deref(), Some(e1.as_ref()));
-        let stats = sys.txn_stats().unwrap();
+        let stats = handle.txn_stats();
         assert!(stats.commits >= 1);
         assert_eq!(stats.conflicts, 0);
-        let gauges = sys.shard_gauges().unwrap();
+        let gauges = handle.shard_gauges();
         assert_eq!(gauges.len(), 4);
         assert!(gauges.iter().all(|g| g.objects > 0 && g.epoch >= 1));
 
@@ -1720,7 +1667,7 @@ mod tests {
         // Warm restart adopts the manifest shard count and recovered
         // per-shard segments.
         let warm = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 0).unwrap();
-        assert_eq!(warm.sharded_handle().unwrap().shard_count(), 3);
+        assert_eq!(warm.shards().shard_count(), 3);
         assert_eq!(warm.lorel_shared(q).unwrap().outcome.rows, rows);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1728,16 +1675,92 @@ mod tests {
     #[test]
     fn unplug_is_journaled_and_survives_restart() {
         let dir = tmp_dir("unplug");
-        let mut sys = DurableSystem::open(system(), &dir, FsyncPolicy::Always).unwrap();
+        let mut sys = open(system(), &dir);
         assert!(sys.unplug("OMIM").unwrap());
-        let bytes = encode_store(sys.persisted_gml().unwrap());
+        let bytes = served_bytes(&sys);
         drop(sys);
         // Restart with OMIM already gone from the live registry too.
         let c = Corpus::generate(CorpusConfig::tiny(42));
         let (mut a, _) = Annoda::over_sources(c.locuslink.clone(), c.go.clone(), c.omim.clone());
         a.unplug("OMIM");
-        let warm = DurableSystem::open(a, &dir, FsyncPolicy::Always).unwrap();
-        assert_eq!(encode_store(warm.persisted_gml().unwrap()), bytes);
+        let warm = open(a, &dir);
+        assert_eq!(served_bytes(&warm), bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A warm 3-shard open after commits that were never snapshotted
+    /// reports what recovery really did, summed over the shards; after
+    /// a snapshot of the shards holding records, only the post-snapshot
+    /// commit replays on top of the loaded snapshots.
+    #[test]
+    fn warm_open_reports_true_aggregate_recovery() {
+        let dir = tmp_dir("recovery");
+        let open3 = |dir: &Path| {
+            DurableSystem::open_sharded(system(), dir, FsyncPolicy::Always, 3).unwrap()
+        };
+        let journaled = {
+            let mut sys = open3(&dir);
+            let cold = sys.persist_stats().unwrap().appended_records;
+            assert_eq!(cold, 3, "the cold open journals one root per shard");
+            mutate_locus(&mut sys, 1000, "never snapshotted");
+            let out = sys.refresh_source("LocusLink").unwrap();
+            assert!(out.journaled_records > 0);
+            cold + out.journaled_records as u64
+        };
+        let mut sys = open3(&dir);
+        let r = *sys.recovery().unwrap();
+        assert!(!r.snapshot_loaded, "no shard was ever snapshotted");
+        assert_eq!(
+            r.replayed_records, journaled,
+            "every journaled record replays"
+        );
+        assert_eq!(sys.persist_stats().unwrap().replayed_records, journaled);
+
+        let meta = sys.snapshot().unwrap().unwrap();
+        assert!(meta.objects > 0 && meta.bytes > 0);
+        mutate_locus(&mut sys, 1001, "after the snapshot");
+        let suffix = sys.refresh_source("LocusLink").unwrap().journaled_records as u64;
+        drop(sys);
+        let sys = open3(&dir);
+        let r = *sys.recovery().unwrap();
+        assert!(r.snapshot_loaded);
+        assert_eq!(r.snapshot_objects, meta.objects);
+        assert_eq!(
+            r.replayed_records, suffix,
+            "only the post-snapshot suffix replays"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard whose WAL outgrows twice its snapshot size is compacted
+    /// by the commit that crossed the bound, so a sustained stream of
+    /// edits keeps every log under it.
+    #[test]
+    fn commits_compact_a_shard_whose_wal_outgrew_it() {
+        let dir = tmp_dir("compact");
+        let mut sys = DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, 2).unwrap();
+        let bound = |sys: &DurableSystem| {
+            sys.shards()
+                .with_durable(|d| {
+                    (0..d.shard_count())
+                        .map(|i| (d.shard(i).stats().wal_bytes, d.shard(i).wal_outgrown()))
+                        .collect::<Vec<_>>()
+                })
+                .unwrap()
+        };
+        for step in 0..60u32 {
+            let text = format!("edit {step} {}", "x".repeat(2000));
+            mutate_locus(&mut sys, 1000 + step % 2, &text);
+            sys.refresh_source("LocusLink").unwrap();
+            for (wal_bytes, outgrown) in bound(&sys) {
+                assert!(
+                    !outgrown,
+                    "a commit left a {wal_bytes}-byte WAL over its bound"
+                );
+            }
+        }
+        let stats = sys.persist_stats().unwrap();
+        assert!(stats.snapshots > 0, "the edits outgrew some shard's bound");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

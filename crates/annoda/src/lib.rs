@@ -41,7 +41,7 @@ pub mod system;
 pub mod txn;
 
 pub use durable::{
-    DurableSystem, GmlSnapshot, LorelServed, RefreshOutcome, SnapshotInfo, GML_ROOT,
+    DurableSystem, GmlSnapshot, LorelServed, Position, RefreshOutcome, SnapshotInfo, GML_ROOT,
 };
 pub use navigate::{NavigateError, Navigator, ObjectView};
 pub use parse::{apply_clause, parse_question, parse_question_pairs};

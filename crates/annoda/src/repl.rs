@@ -4,14 +4,15 @@
 //! integrating process whose WAL is the replication stream. Opened with
 //! [`crate::DurableSystem::open_follower`] it starts as a
 //! [`Role::Follower`]: a read-only serving node whose store is advanced
-//! exclusively by applying the leader's shipped WAL records, and which
-//! can be promoted to leader on failover.
+//! exclusively by applying the leader's shipped per-shard WAL records,
+//! and which can be promoted to leader on failover.
 //!
 //! [`ReplShared`] is the lock-free meeting point of three parties: the
-//! replica client thread (writes applied/leader positions and lag), the
+//! replica client thread (writes leader positions and lag), the
 //! leader-side shipping server (writes subscriber counters), and the
-//! HTTP layer (`/metrics`, `/healthz`, and the read-your-writes gate
-//! read positions without taking the system lock).
+//! HTTP layer (`/metrics` reads them without taking the system lock).
+//! Positions themselves are per-shard `(generation, offset)` vectors
+//! read from the durable store ([`crate::DurableSystem::wal_position`]).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -57,15 +58,12 @@ impl std::fmt::Display for Role {
 #[derive(Debug, Default)]
 pub struct ReplShared {
     role: AtomicU8,
-    /// Generation of the follower's applied position.
-    pub applied_generation: AtomicU64,
-    /// Bytes of that generation's WAL applied locally.
-    pub applied_offset: AtomicU64,
-    /// End of the leader's WAL as of the last batch.
+    /// End of the leader's WAL as of each shard's last batch, summed
+    /// over shards.
     pub leader_offset: AtomicU64,
-    /// `leader_offset - applied_offset` as of the last batch.
+    /// Leader WAL bytes not yet applied, summed over shards.
     pub lag_bytes: AtomicU64,
-    /// Complete leader records not yet shipped as of the last batch.
+    /// Complete leader records not yet shipped, summed over shards.
     pub lag_records: AtomicU64,
     /// Microseconds since the follower was last caught up (0 while
     /// caught up); maintained by the replica client.
@@ -87,6 +85,9 @@ pub struct ReplShared {
     pub shipped_bytes: AtomicU64,
     /// Where writes live, for read-only refusals on a follower.
     pub leader_addr: Mutex<String>,
+    /// Why the leader refused this follower's subscription for good
+    /// (empty while none did).
+    pub refusal: Mutex<String>,
 }
 
 /// One consistent reading of the gauges, for `/metrics`.
@@ -94,15 +95,11 @@ pub struct ReplShared {
 pub struct ReplStats {
     /// 0 = leader, 1 = follower.
     pub follower: bool,
-    /// Generation of the applied position.
-    pub applied_generation: u64,
-    /// Applied WAL bytes.
-    pub applied_offset: u64,
-    /// Leader WAL end as of the last batch.
+    /// Leader WAL ends as of the last batches, summed over shards.
     pub leader_offset: u64,
-    /// Byte lag as of the last batch.
+    /// Byte lag, summed over shards.
     pub lag_bytes: u64,
-    /// Record lag as of the last batch.
+    /// Record lag, summed over shards.
     pub lag_records: u64,
     /// Microseconds behind (0 while caught up).
     pub lag_us: u64,
@@ -141,21 +138,7 @@ impl ReplShared {
         self.role.store(role.as_u8(), Ordering::Release);
     }
 
-    /// The follower's applied `(generation, offset)` position.
-    pub fn applied_position(&self) -> (u64, u64) {
-        (
-            self.applied_generation.load(Ordering::Acquire),
-            self.applied_offset.load(Ordering::Acquire),
-        )
-    }
-
-    /// Records a new applied position.
-    pub fn set_applied(&self, generation: u64, offset: u64) {
-        self.applied_generation.store(generation, Ordering::Release);
-        self.applied_offset.store(offset, Ordering::Release);
-    }
-
-    /// Updates the lag gauges from one batch's metadata.
+    /// Updates the lag gauges (totals over shards).
     pub fn set_lag(&self, leader_offset: u64, applied_offset: u64, lag_records: u64) {
         self.leader_offset.store(leader_offset, Ordering::Release);
         self.lag_bytes.store(
@@ -169,8 +152,6 @@ impl ReplShared {
     pub fn stats(&self) -> ReplStats {
         ReplStats {
             follower: self.role() == Role::Follower,
-            applied_generation: self.applied_generation.load(Ordering::Acquire),
-            applied_offset: self.applied_offset.load(Ordering::Acquire),
             leader_offset: self.leader_offset.load(Ordering::Acquire),
             lag_bytes: self.lag_bytes.load(Ordering::Acquire),
             lag_records: self.lag_records.load(Ordering::Acquire),
@@ -194,6 +175,11 @@ impl ReplShared {
     pub fn set_leader_addr(&self, addr: &str) {
         *self.leader_addr.lock() = addr.to_string();
     }
+
+    /// Why the leader refused this follower for good, if it did.
+    pub fn refusal(&self) -> Option<String> {
+        Some(self.refusal.lock().clone()).filter(|r| !r.is_empty())
+    }
 }
 
 #[cfg(test)]
@@ -212,12 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn positions_and_lag_track() {
+    fn lag_tracks() {
         let shared = ReplShared::new(Role::Follower);
-        shared.set_applied(2, 100);
         shared.set_lag(250, 100, 3);
         let s = shared.stats();
-        assert_eq!((s.applied_generation, s.applied_offset), (2, 100));
         assert_eq!(s.leader_offset, 250);
         assert_eq!(s.lag_bytes, 150);
         assert_eq!(s.lag_records, 3);

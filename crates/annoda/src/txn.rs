@@ -14,9 +14,11 @@
 //! 3. [`commit`](ShardedGml::commit) validates *first-writer-wins* on
 //!    the touched shard set — every shard the transaction changes must
 //!    still be at its begin epoch — then journals each touched shard
-//!    into its own WAL segment and finally swaps exactly those shards'
-//!    `Arc`s, bumping their epochs. Write-ahead order: a journaling
-//!    failure aborts the commit before any reader could observe it.
+//!    into its own WAL segment (compacting a segment whose log has
+//!    outgrown it, see [`annoda_persist::DurableStore::wal_outgrown`])
+//!    and finally swaps exactly those shards' `Arc`s, bumping their
+//!    epochs. Write-ahead order: a journaling failure aborts the commit
+//!    before any reader could observe it.
 //!
 //! Two writers touching disjoint shard sets both commit; overlapping
 //! writers get exactly one [`CommitError::Conflict`] (the later one).
@@ -29,7 +31,7 @@ use std::sync::Arc;
 
 use annoda_oem::shard::{ShardRouter, ShardedStore};
 use annoda_oem::OemStore;
-use annoda_persist::{FsyncPolicy, PersistStats, ShardedDurableStore};
+use annoda_persist::{sync_root, DurableStore, FsyncPolicy, RecoveryReport, ShardedDurableStore};
 use parking_lot::{Mutex, RwLock};
 
 use crate::system::AnnodaError;
@@ -114,8 +116,6 @@ pub struct TxnStats {
     pub commits: u64,
     /// Commits refused by first-writer-wins validation.
     pub conflicts: u64,
-    /// Transactions explicitly abandoned.
-    pub aborts: u64,
 }
 
 /// One shard's gauges, for `/metrics`.
@@ -162,14 +162,6 @@ impl ShardTxn {
         Ok(&self.staged.as_ref().expect("just set").1)
     }
 
-    /// The shards staged for swap, empty before [`stage`](Self::stage).
-    pub fn touched(&self) -> &[usize] {
-        self.staged
-            .as_ref()
-            .map(|(_, c)| c.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// Entity fragments that are structurally different between the
     /// pinned and staged stores, counted only across the touched
     /// shards. Zero before [`stage`](Self::stage). This is the
@@ -196,12 +188,13 @@ pub struct ShardedGml {
     assembled: Mutex<Option<(Vec<u64>, Arc<OemStore>)>>,
     /// Per-shard WAL segments, when durability is on.
     durable: Mutex<Option<ShardedDurableStore>>,
+    /// What recovery found across the segments at open time.
+    recovery: Option<RecoveryReport>,
     /// Serialises validate+swap+journal. Staging (the expensive part)
     /// runs outside it, so writer throughput still scales.
     commit_lock: Mutex<()>,
     commits: AtomicU64,
     conflicts: AtomicU64,
-    aborts: AtomicU64,
 }
 
 impl ShardedGml {
@@ -227,37 +220,33 @@ impl ShardedGml {
         let n = durable.shard_count();
         let warm = (0..n).all(|i| durable.shard(i).store().named(root_name).is_some());
         let sharded = if warm {
-            let stores: Vec<Arc<OemStore>> = (0..n)
-                .map(|i| Arc::new(durable.shard(i).store().clone()))
-                .collect();
-            // The ETag/cache proof ("epochs only grow, so an equal
-            // masked sum proves nothing changed") must survive a
-            // restart: a dep-stamped validator minted before
-            // commit+restart may cover data that changed since. The
-            // durable generations are the per-shard monotone floor, but
-            // they advance only on snapshot promotion — WAL-only
-            // commits leave them unchanged — so a per-boot salt is
-            // mixed in as well: any validator stamped by a previous
-            // boot misses with overwhelming probability instead of
-            // falsely revalidating over changed data.
-            let salt = boot_epoch_salt();
-            let epochs = durable
-                .generations()
-                .iter()
-                .map(|g| salt.saturating_add(*g))
-                .collect();
-            ShardedStore::from_shards(root_name, stores, epochs).map_err(oem_err)?
+            recovered(&durable, root_name)?
         } else {
             let flat = flat()?;
             let sharded = ShardedStore::partition(&flat, root_name, n).map_err(oem_err)?;
             for i in 0..n {
                 let store = sharded.shard(i);
                 let root = store.named(root_name).expect("partition names shard roots");
-                durable.sync_shard_root(i, root_name, store, root)?;
+                sync_root(durable.shard_mut(i), root_name, store, root)?;
             }
             durable.sync_all()?;
             sharded
         };
+        Ok(Self::from_store(root_name, sharded, Some(durable)))
+    }
+
+    /// Opens `dir` as a replica of some leader's per-shard logs: never
+    /// materialises anything. Every shard serves exactly what its
+    /// segment recovered — an empty root until its first shipped
+    /// record.
+    pub fn open_replica(
+        dir: &Path,
+        policy: FsyncPolicy,
+        shards: usize,
+        root_name: &str,
+    ) -> Result<Self, AnnodaError> {
+        let durable = ShardedDurableStore::open(dir, policy, shards)?;
+        let sharded = recovered(&durable, root_name)?;
         Ok(Self::from_store(root_name, sharded, Some(durable)))
     }
 
@@ -272,17 +261,12 @@ impl ShardedGml {
             current: RwLock::new(sharded),
             epochs,
             assembled: Mutex::new(None),
+            recovery: durable.as_ref().map(ShardedDurableStore::recovery),
             durable: Mutex::new(durable),
             commit_lock: Mutex::new(()),
             commits: AtomicU64::new(0),
             conflicts: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
         }
-    }
-
-    /// The root name shards are keyed under.
-    pub fn root_name(&self) -> &str {
-        &self.root_name
     }
 
     /// Number of shards.
@@ -318,12 +302,6 @@ impl ShardedGml {
             begin: self.pin(),
             staged: None,
         }
-    }
-
-    /// Abandons a transaction (counts toward the abort gauge).
-    pub fn abort(&self, txn: ShardTxn) {
-        drop(txn);
-        self.aborts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Commits a staged transaction. First-writer-wins: every shard the
@@ -370,13 +348,17 @@ impl ShardedGml {
                 let root = store
                     .named(&self.root_name)
                     .expect("partition names shard roots");
-                journaled += d.sync_shard_root(i, &self.root_name, store, root)?;
+                let segment = d.shard_mut(i);
+                journaled += sync_root(segment, &self.root_name, store, root)?;
+                if segment.wal_outgrown() {
+                    segment.snapshot()?;
+                }
             }
         }
         {
             let mut cur = self.current.write();
             for &i in &changed {
-                cur.install(i, Arc::clone(staged.shard(i)));
+                cur.adopt(i, &staged);
             }
             *self.epochs.write() = Arc::new(cur.epochs().to_vec());
         }
@@ -401,7 +383,10 @@ impl ShardedGml {
                 return (vector, Arc::clone(store));
             }
         }
-        let store = Arc::new(pin.assemble());
+        let store = match pin.assembled_shard() {
+            Some(shard) => Arc::clone(shard),
+            None => Arc::new(pin.assemble()),
+        };
         *guard = Some((vector.clone(), Arc::clone(&store)));
         (vector, store)
     }
@@ -411,20 +396,16 @@ impl ShardedGml {
         TxnStats {
             commits: self.commits.load(Ordering::Relaxed),
             conflicts: self.conflicts.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
         }
     }
 
     /// Per-shard gauges (objects, fragments, epoch, WAL segment size).
     pub fn shard_gauges(&self) -> Vec<ShardGauges> {
         let pin = self.pin();
-        let persist: Option<Vec<PersistStats>> = self.durable.lock().as_ref().map(|d| d.stats());
+        let positions = self.with_durable(|d| d.positions());
         (0..pin.shard_count())
             .map(|i| {
-                let (wal_bytes, generation) = persist
-                    .as_ref()
-                    .map(|p| (p[i].wal_bytes, p[i].generation))
-                    .unwrap_or((0, 0));
+                let (generation, wal_bytes) = positions.as_ref().map_or((0, 0), |p| p[i]);
                 ShardGauges {
                     shard: i,
                     objects: pin.shard_objects(i),
@@ -445,10 +426,78 @@ impl ShardedGml {
         Ok(())
     }
 
-    /// Whether per-shard durability backs this model.
-    pub fn is_durable(&self) -> bool {
-        self.durable.lock().is_some()
+    /// What recovery found across the shard segments at open time;
+    /// `None` without persistence.
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
     }
+
+    /// Runs `f` over the per-shard durable segments under their lock;
+    /// `None` without persistence.
+    pub fn with_durable<T>(&self, f: impl FnOnce(&mut ShardedDurableStore) -> T) -> Option<T> {
+        self.durable.lock().as_mut().map(f)
+    }
+
+    /// Replica side: runs `f` on `shard`'s durable segment — journaling
+    /// shipped records or installing a transferred snapshot — then
+    /// reinstalls the shard from the segment's store, bumping its epoch.
+    /// The reinstall happens even when `f` fails part-way, so the served
+    /// shard always equals what the segment holds.
+    pub fn replicate<T>(
+        &self,
+        shard: usize,
+        f: impl FnOnce(&mut DurableStore) -> Result<T, AnnodaError>,
+    ) -> Result<T, AnnodaError> {
+        let _serialised = self.commit_lock.lock();
+        let mut guard = self.durable.lock();
+        let segment = guard
+            .as_mut()
+            .filter(|d| shard < d.shard_count())
+            .ok_or_else(|| AnnodaError::Replication(format!("no durable shard {shard}")))?
+            .shard_mut(shard);
+        let out = f(segment);
+        let store = with_root(segment.store().clone(), &self.root_name);
+        drop(guard);
+        {
+            let mut cur = self.current.write();
+            cur.install(shard, Arc::new(store));
+            *self.epochs.write() = Arc::new(cur.epochs().to_vec());
+        }
+        self.assembled.lock().take();
+        out
+    }
+}
+
+/// `store` with a root named `root_name` — an empty one is added when
+/// the store has none yet (a replica shard before its first record).
+fn with_root(mut store: OemStore, root_name: &str) -> OemStore {
+    if store.named(root_name).is_none() {
+        let root = store.new_complex();
+        store.set_name(root_name, root).expect("the name is free");
+    }
+    store
+}
+
+/// The shard vector a durable directory recovered, one store per
+/// segment.
+fn recovered(durable: &ShardedDurableStore, root_name: &str) -> Result<ShardedStore, AnnodaError> {
+    let stores: Vec<Arc<OemStore>> = (0..durable.shard_count())
+        .map(|i| Arc::new(with_root(durable.shard(i).store().clone(), root_name)))
+        .collect();
+    // The ETag/cache proof ("epochs only grow, so an equal masked sum
+    // proves nothing changed") must survive a restart: a dep-stamped
+    // validator minted before commit+restart may cover data that
+    // changed since. The durable generations are the per-shard monotone
+    // floor, but they advance only on snapshot promotion — WAL-only
+    // commits leave them unchanged — so a per-boot salt is mixed in as
+    // well: any validator stamped by a previous boot misses with
+    // overwhelming probability instead of falsely revalidating over
+    // changed data.
+    let salt = boot_epoch_salt();
+    let epochs = (0..durable.shard_count())
+        .map(|i| salt.saturating_add(durable.shard(i).generation()))
+        .collect();
+    ShardedStore::from_shards(root_name, stores, epochs).map_err(oem_err)
 }
 
 #[cfg(test)]
@@ -500,9 +549,9 @@ mod tests {
         let before = m.epoch_vector();
 
         let mut txn = m.begin();
-        txn.stage(&gml(&[("TP53", "v2")])).unwrap();
+        let touched = txn.stage(&gml(&[("TP53", "v2")])).unwrap().to_vec();
         let want = shards_of(&m, &["TP53"]);
-        assert_eq!(txn.touched(), want.as_slice());
+        assert_eq!(touched, want);
         let out = m.commit(txn).unwrap();
         assert_eq!(out.changed, want);
 

@@ -818,13 +818,7 @@ fn b12_serving_throughput(smoke: bool) {
         "served {} requests total; drained: {}",
         shutdown.requests_served, shutdown.drained
     );
-    if smoke {
-        println!("(smoke mode: BENCH_serve.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-        std::fs::write(path, report_obj.to_text() + "\n").expect("write BENCH_serve.json");
-        println!("(machine-readable copy written to BENCH_serve.json)");
-    }
+    write_report("serve", smoke, report_obj.to_text() + "\n");
 }
 
 // ---------------------------------------------------------------------
@@ -856,7 +850,8 @@ fn b9_persistence(smoke: bool) {
         let t = Instant::now();
         let mut sys = workload::annoda_over(&corpus);
         sys.registry_mut().mediator_mut().enable_cache();
-        let d = DurableSystem::open(sys, data, FsyncPolicy::Batched(64)).expect("open data dir");
+        let d = DurableSystem::open_sharded(sys, data, FsyncPolicy::Batched(64), 1)
+            .expect("open data dir");
         (t.elapsed().as_secs_f64() * 1000.0, d)
     };
 
@@ -867,7 +862,7 @@ fn b9_persistence(smoke: bool) {
     let mut startup_rows = Vec::new();
     let mut row = |label: &str, ms: f64, d: &DurableSystem| {
         let r = *d.recovery().expect("durable recovery report");
-        let objects = d.persisted_gml().map_or(0, annoda_oem::OemStore::len);
+        let objects = d.query_snapshot().expect("served GML").store.len();
         println!(
             "{:<26} {:>12.2} {:>10} {:>10} {:>12}",
             label,
@@ -987,13 +982,7 @@ fn b9_persistence(smoke: bool) {
         ("journaled_writes", Json::Arr(write_rows)),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
-    if smoke {
-        println!("\n(smoke mode: BENCH_persist.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_persist.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_persist.json");
-        println!("\n(machine-readable copy written to BENCH_persist.json)");
-    }
+    write_report("persist", smoke, report.to_text() + "\n");
     println!(
         "(Always pays one fsync per record; Batched amortises; OnSnapshot\n\
          defers durability to the next snapshot — pick per deployment.)\n"
@@ -1032,8 +1021,9 @@ fn b10_query_serve(smoke: bool) {
             std::env::temp_dir().join(format!("annoda-bench-qserve-{}-{loci}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sys = workload::annoda_over(&corpus);
-        let durable = DurableSystem::open(sys, &dir.join("data"), FsyncPolicy::OnSnapshot)
-            .expect("open data dir");
+        let durable =
+            DurableSystem::open_sharded(sys, &dir.join("data"), FsyncPolicy::OnSnapshot, 1)
+                .expect("open data dir");
         let symbol = durable
             .annoda()
             .ask(&annoda::GeneQuestion::default())
@@ -1159,13 +1149,7 @@ fn b10_query_serve(smoke: bool) {
         ("experiment", Json::str("B10 query serving")),
         ("sizes", Json::Arr(size_rows)),
     ]);
-    if smoke {
-        println!("(smoke mode: BENCH_query_serve.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_query_serve.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_query_serve.json");
-        println!("(machine-readable copy written to BENCH_query_serve.json)");
-    }
+    write_report("query_serve", smoke, report.to_text() + "\n");
     println!(
         "(The clone path pays a full store copy and an index-cache rebuild\n\
          on every request; the shared snapshot amortises both across the\n\
@@ -1379,13 +1363,7 @@ fn b11_federation(smoke: bool) {
         ("stall_ms", Json::Int(stall.as_millis() as i64)),
         ("runs", Json::Arr(runs)),
     ]);
-    if smoke {
-        println!("\n(smoke mode: BENCH_federation.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_federation.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_federation.json");
-        println!("\n(machine-readable copy written to BENCH_federation.json)");
-    }
+    write_report("federation", smoke, report.to_text() + "\n");
     println!(
         "(Per-source wall-clocks sum in cost.wall_us; the mediator pays only\n\
          the per-phase maximum — the fan-out speedup column. Retries and\n\
@@ -1566,7 +1544,6 @@ fn b13_ranked_search(smoke: bool) {
          (got {speedup:.1}x: {indexed_p50}us vs {naive_p50}us)"
     );
 
-    // Written in smoke mode too: scripts/check.sh consumes this.
     let report = format!(
         "{{\n  \"experiment\": \"B13 ranked annotation search\",\n  \
          \"loci\": {LOCI},\n  \"docs\": {doc_count},\n  \"sources\": {},\n  \
@@ -1581,9 +1558,7 @@ fn b13_ranked_search(smoke: bool) {
         queries.len(),
         json_escape("TRISRC1"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_search.json");
-    std::fs::write(path, &report).expect("write BENCH_search.json");
-    println!("\n(machine-readable copy written to BENCH_search.json)");
+    write_report("search", smoke, &report);
 }
 
 // ---------------------------------------------------------------------
@@ -1697,7 +1672,11 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
     } else {
         (500, 1000, 50)
     };
-    println!("=== B14: WAL-shipping read replicas ({loci} loci, leader + 2 followers) ===\n");
+    const STORE_SHARDS: usize = 4;
+    println!(
+        "=== B14: WAL-shipping read replicas ({loci} loci, {STORE_SHARDS} store shards, \
+         leader + 2 followers) ===\n"
+    );
     let corpus = workload::corpus_of(loci, 7);
     let base_dir = std::env::temp_dir().join(format!("annoda-b14-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base_dir);
@@ -1715,8 +1694,13 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
 
     let mut sys = workload::annoda_over(&corpus);
     sys.registry_mut().mediator_mut().enable_cache();
-    let durable = DurableSystem::open(sys, &base_dir.join("leader"), FsyncPolicy::Batched(64))
-        .expect("leader open");
+    let durable = DurableSystem::open_sharded(
+        sys,
+        &base_dir.join("leader"),
+        FsyncPolicy::Batched(64),
+        STORE_SHARDS,
+    )
+    .expect("leader open");
     let leader = Server::start_durable(durable, node_config()).expect("bind leader");
     let mut shipping = LeaderServer::spawn(
         Arc::clone(&leader.app().system),
@@ -1734,9 +1718,13 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
     let spawn_follower = |name: &str| {
         let mut sys = workload::annoda_over(&corpus);
         sys.registry_mut().mediator_mut().enable_cache();
-        let durable =
-            DurableSystem::open_follower(sys, &base_dir.join(name), FsyncPolicy::Batched(64))
-                .expect("follower open");
+        let durable = DurableSystem::open_follower(
+            sys,
+            &base_dir.join(name),
+            FsyncPolicy::Batched(64),
+            STORE_SHARDS,
+        )
+        .expect("follower open");
         let server = Server::start_durable(durable, node_config()).expect("bind follower");
         let client = ReplicaClient::spawn(
             Arc::clone(&server.app().system),
@@ -1764,7 +1752,7 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
             let target = leader_position();
             if [&f1, &f2]
                 .iter()
-                .all(|s| s.app().system().wal_position() == Some(target))
+                .all(|s| s.app().system().wal_position().as_ref() == Some(&target))
             {
                 return;
             }
@@ -1866,8 +1854,18 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
     // Lag convergence: a write burst, then silence — every follower
     // must drain to the leader's final position.
     println!("\n-- follower lag convergence after {writes} journaled writes");
-    for _ in 0..writes {
-        leader.app().system_mut().refresh().expect("write load");
+    for step in 0..writes as u64 {
+        let app = leader.app();
+        let mut sys = app.system_mut();
+        let w = sys
+            .annoda_mut()
+            .registry_mut()
+            .mediator_mut()
+            .wrapper_mut("LocusLink")
+            .expect("LocusLink plugged");
+        annoda_wrap::scripted_mutation(&mut **w, 14, step).expect("scriptable source");
+        let out = sys.refresh_source("LocusLink").expect("write load");
+        assert!(out.journaled_records > 0, "each write journals its delta");
     }
     let target = leader_position();
     let burst_done = Instant::now();
@@ -1880,7 +1878,7 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
                 let sys = app.system();
                 (sys.wal_position(), sys.repl_handle().stats())
             };
-            if position == Some(target) && stats.lag_records == 0 {
+            if position.as_ref() == Some(&target) && stats.lag_records == 0 {
                 break;
             }
             assert!(
@@ -1893,19 +1891,16 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
         }
         let converge_ms = burst_done.elapsed().as_millis();
         let s = srv.app().system().repl_handle().stats();
+        let applied: u64 = target.iter().map(|(_, offset)| offset).sum();
         println!(
-            "{name}: lag 0 within {converge_ms} ms  (applied_offset={} batches={} \
+            "{name}: lag 0 within {converge_ms} ms  (applied_bytes={applied} batches={} \
              records={} snapshot_xfer_bytes={} resubscribes={})",
-            s.applied_offset,
-            s.batches_applied,
-            s.records_applied,
-            s.snapshot_xfer_bytes,
-            s.resubscribes
+            s.batches_applied, s.records_applied, s.snapshot_xfer_bytes, s.resubscribes
         );
         followers_json.push(Json::obj([
             ("node", Json::str(name)),
             ("converge_ms", Json::Int(converge_ms as i64)),
-            ("applied_offset", Json::Int(s.applied_offset as i64)),
+            ("applied_bytes", Json::Int(applied as i64)),
             ("batches_applied", Json::Int(s.batches_applied as i64)),
             ("records_applied", Json::Int(s.records_applied as i64)),
             (
@@ -1919,6 +1914,7 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
     let report = Json::obj([
         ("experiment", Json::str("B14 WAL-shipping read replicas")),
         ("loci", Json::Int(loci as i64)),
+        ("store_shards", Json::Int(STORE_SHARDS as i64)),
         ("path", Json::str(read_path)),
         ("requests_per_conn", Json::Int(requests_per_conn as i64)),
         ("runs", Json::Arr(runs)),
@@ -1926,8 +1922,10 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
             "lag",
             Json::obj([
                 ("writes", Json::Int(writes as i64)),
-                ("leader_generation", Json::Int(target.0 as i64)),
-                ("leader_offset", Json::Int(target.1 as i64)),
+                (
+                    "leader_position",
+                    Json::str(annoda_serve::format_position(&target)),
+                ),
                 ("followers", Json::Arr(followers_json)),
             ]),
         ),
@@ -1945,13 +1943,7 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
     }
     let _ = std::fs::remove_dir_all(&base_dir);
 
-    if smoke {
-        println!("(smoke mode: BENCH_replication.json not rewritten)");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replication.json");
-        std::fs::write(path, report.to_text() + "\n").expect("write BENCH_replication.json");
-        println!("(machine-readable copy written to BENCH_replication.json)");
-    }
+    write_report("replication", smoke, report.to_text() + "\n");
 }
 
 // ---------------------------------------------------------------------
@@ -1971,8 +1963,7 @@ fn b14_replication(smoke: bool, external_targets: &[(String, f64)]) {
 /// acquisition p99 is gated against an idle-writer baseline to show
 /// MVCC readers never stall behind writers.
 ///
-/// The JSON artifact is written in smoke mode too because
-/// `scripts/check.sh` consumes it.
+/// `--smoke` shrinks the run and leaves `BENCH_sharded.json` alone.
 fn b15_sharded_store(smoke: bool) {
     use annoda::{CommitError, ShardedGml};
     use annoda_oem::ShardRouter;
@@ -2218,7 +2209,6 @@ fn b15_sharded_store(smoke: bool) {
             .join(" -> ")
     );
 
-    // Written in smoke mode too: scripts/check.sh consumes this.
     let configs = runs
         .iter()
         .map(|r| {
@@ -2245,25 +2235,26 @@ fn b15_sharded_store(smoke: bool) {
          \"gates\": {{\n    \"throughput_monotone\": true,\n    \
          \"read_p99_within_2x_idle\": true\n  }}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sharded.json");
-    std::fs::write(path, &report).expect("write BENCH_sharded.json");
-    println!("(machine-readable copy written to BENCH_sharded.json)");
+    write_report("sharded", smoke, &report);
 }
 
 /// **B16 — streaming absorption vs. read latency.** A source-server
 /// streams scripted LocusLink mutations at several rates while a
-/// sharded serve node tails the feed in-process (exactly
-/// `annoda-serve --store-shards 4 --subscribe LocusLink=...`); the
-/// loadgen `stream_mix` driver measures mixed read p99 idle vs. under
-/// active absorption at each rate, and after the feed drains the
-/// absorbed state must be byte-identical — store assembly and
-/// `/genes`/`/search` bodies — to a full re-fetch of the same source
-/// state. The paper's Table 1 freshness-vs-latency trade, measured.
+/// durable sharded serve node tails the feed in-process (exactly
+/// `annoda-serve --store-shards 4 --data-dir D --subscribe
+/// LocusLink=...`); the loadgen `stream_mix` driver measures mixed read
+/// p99 idle vs. under active absorption at each rate, and after the
+/// feed drains the absorbed state must be byte-identical — store
+/// assembly and `/genes`/`/search` bodies — to a full re-fetch of the
+/// same source state. The paper's Table 1 freshness-vs-latency trade,
+/// measured. Throughout the feed a sampler checks every shard's WAL
+/// against its compaction bound (twice the shard's snapshot size):
+/// the journal must stay proportional to the store, never grow with
+/// the feed.
 ///
-/// The JSON artifact is written in smoke mode too because
-/// `scripts/check.sh` consumes it.
+/// `--smoke` shrinks the run and leaves `BENCH_stream.json` alone.
 fn b16_streaming(smoke: bool) {
-    use annoda::DurableSystem;
+    use annoda::{DurableSystem, FsyncPolicy};
     use annoda_federation::{ChangeJournal, ChangeRecord, ServerConfig, SourceServer};
     use annoda_persist::encode_store;
     use annoda_serve::loadgen::{self, read_response};
@@ -2320,8 +2311,32 @@ fn b16_streaming(smoke: bool) {
     };
     let mut sys = workload::annoda_over(&corpus);
     sys.registry_mut().mediator_mut().enable_cache();
-    let durable = DurableSystem::new_sharded(sys, 4).expect("shard the store");
+    let data_dir = std::env::temp_dir().join(format!("annoda-b16-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let durable = DurableSystem::open_sharded(sys, &data_dir, FsyncPolicy::Batched(64), 4)
+        .expect("open the sharded data dir");
     let server = Server::start_durable(durable, node_config()).expect("bind serve node");
+    // The highest WAL fill any shard reached — journal bytes over its
+    // compaction bound, in millionths, rounded up — sampled every few
+    // milliseconds for the whole feed.
+    let max_fill = Arc::new(AtomicU64::new(0));
+    let sampling = Arc::new(AtomicBool::new(true));
+    let sampler = std::thread::spawn({
+        let store = Arc::clone(server.app().system().shards());
+        let (max_fill, sampling) = (Arc::clone(&max_fill), Arc::clone(&sampling));
+        move || {
+            while sampling.load(Ordering::Acquire) {
+                store.with_durable(|d| {
+                    for s in (0..d.shard_count()).map(|i| d.shard(i)) {
+                        let journal = s.wal_offset() - annoda_persist::WAL_HEADER_LEN;
+                        let fill = (1_000_000 * journal).div_ceil(s.compaction_bound().max(1));
+                        max_fill.fetch_max(fill, Ordering::Relaxed);
+                    }
+                });
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    });
     let mut client = StreamClient::spawn(
         Arc::clone(&server.app().system),
         "LocusLink",
@@ -2465,6 +2480,16 @@ fn b16_streaming(smoke: bool) {
     }
     let totals = gauges.snapshot();
     assert_eq!(totals.bootstraps, 0, "tailing never needed a dump");
+    sampling.store(false, Ordering::Release);
+    sampler.join().expect("WAL sampler");
+    let max_fill = max_fill.load(Ordering::Relaxed) as f64 / 1e6;
+    let compactions = server
+        .app()
+        .system()
+        .persist_stats()
+        .expect("durable")
+        .snapshots;
+    println!("max shard WAL fill {max_fill:.3} of its compaction bound; {compactions} compactions");
 
     // Gate 1: read p99 under streaming stays within 2x of idle at every
     // mutation rate (floored: sub-250us loopback round trips are timer
@@ -2480,7 +2505,14 @@ fn b16_streaming(smoke: bool) {
         );
     }
 
-    // Gate 2: the absorbed state is byte-identical to a full re-fetch.
+    // Gate 2: no shard's WAL ever passed its compaction bound — the
+    // commit that crosses it compacts the shard before releasing it.
+    assert!(
+        max_fill <= 1.0,
+        "a shard WAL reached {max_fill:.3}x its bound"
+    );
+
+    // Gate 3: the absorbed state is byte-identical to a full re-fetch.
     // The control replays the identical scripted mutations directly
     // into a fresh system's wrapper and pull-refreshes once — the state
     // a non-streaming node would reach.
@@ -2542,12 +2574,12 @@ fn b16_streaming(smoke: bool) {
         assert_eq!(streamed_body, control_body, "{path} bodies must agree");
     }
     println!(
-        "\ngates: read p99 within 2x idle at every rate; absorbed state byte-identical \
-         to a full re-fetch ({step} records, {} batches, {} resubscribes)",
+        "\ngates: read p99 within 2x idle at every rate; every shard WAL under its \
+         compaction bound; absorbed state byte-identical to a full re-fetch ({step} \
+         records, {} batches, {} resubscribes)",
         totals.batches, totals.resubscribes
     );
 
-    // Written in smoke mode too: scripts/check.sh consumes this.
     let rates_json = runs
         .iter()
         .map(|r| {
@@ -2574,18 +2606,35 @@ fn b16_streaming(smoke: bool) {
          \"rates\": [\n{rates_json}\n  ],\n  \
          \"totals\": {{\n    \"records\": {step},\n    \"batches\": {},\n    \
          \"bootstraps\": {},\n    \"resubscribes\": {}\n  }},\n  \
+         \"wal\": {{\n    \"max_fill\": {max_fill:.3},\n    \
+         \"shard_compactions\": {compactions}\n  }},\n  \
          \"gates\": {{\n    \"read_p99_within_2x_idle\": true,\n    \
+         \"wal_under_compaction_bound\": true,\n    \
          \"absorbed_state_byte_identical\": true\n  }}\n}}\n",
         idle.p50_us, idle.p99_us, totals.batches, totals.bootstraps, totals.resubscribes
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
-    std::fs::write(path, &report).expect("write BENCH_stream.json");
-    println!("(machine-readable copy written to BENCH_stream.json)");
+    write_report("stream", smoke, &report);
 
     client.shutdown();
     drop(source);
     let _ = server.shutdown(Duration::from_secs(10));
     let _ = control_server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&data_dir);
+}
+
+/// Writes `BENCH_<name>.json` at the repository root — unless this is
+/// a smoke run: smoke figures never overwrite a full run's.
+fn write_report(name: &str, smoke: bool, text: impl AsRef<[u8]>) {
+    let file = format!("BENCH_{name}.json");
+    if smoke {
+        println!("(smoke mode: {file} not rewritten)");
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(&file);
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("(machine-readable copy written to {file})");
 }
 
 fn json_escape(s: &str) -> String {

@@ -33,8 +33,10 @@ pub const MAGIC: &[u8; 4] = b"AFED";
 /// [`Message::SnapshotXfer`], [`Message::WalBatch`],
 /// [`Message::ReplicaStatus`]). v3 added the change-feed messages
 /// ([`Message::SubscribeSource`], [`Message::FeedStatus`],
-/// [`Message::ChangeBatch`], [`Message::ChangeAck`]).
-pub const VERSION: u8 = 3;
+/// [`Message::ChangeBatch`], [`Message::ChangeAck`]). v4 made
+/// replication per shard: positions are vectors, batches and snapshot
+/// transfers name their shard, and [`Message::ReplicaRefused`] exists.
+pub const VERSION: u8 = 4;
 /// Hard cap on one frame's payload, so a corrupted length field cannot
 /// ask for a multi-gigabyte allocation (same bound as the WAL).
 pub const MAX_FRAME: usize = 1 << 30;
@@ -249,30 +251,40 @@ pub enum Message {
     Ping,
     /// Server → client: liveness answer.
     Pong,
-    /// Replica → leader: start (or restart) log shipping from this
-    /// position. A position the leader cannot serve a tail for —
-    /// stale generation, misaligned or out-of-range offset — is
-    /// answered with [`Message::SnapshotXfer`] instead of an error.
+    /// Replica → leader: start (or restart) log shipping from these
+    /// positions, one `(generation, byte offset)` pair per store shard.
+    /// A shard position the leader cannot serve a tail for — stale
+    /// generation, misaligned or out-of-range offset — is answered with
+    /// that shard's [`Message::SnapshotXfer`] instead of an error; a
+    /// vector of the wrong length with [`Message::ReplicaRefused`].
     Subscribe {
-        /// WAL generation the replica's position belongs to.
-        generation: u64,
-        /// Byte offset into that generation's log.
-        from_offset: u64,
+        /// Per-shard `(generation, offset)` positions.
+        positions: Vec<(u64, u64)>,
     },
-    /// Leader → replica: full base state. The replica discards what it
-    /// has, installs `store` at `generation`, and resumes tailing from
-    /// the generation's first frame.
+    /// Leader → replica: one shard's full base state. The replica
+    /// discards what that shard holds, installs `store` at
+    /// `generation`, and resumes tailing the shard from the
+    /// generation's first frame. A snapshot seals away the source
+    /// events its log held, so the leader also names its registered
+    /// sources; the replica unplugs any source it holds that is not
+    /// listed.
     SnapshotXfer {
+        /// The store shard the state belongs to.
+        shard: usize,
         /// Generation the transferred state belongs to.
         generation: u64,
         /// The leader's base snapshot, canonically encoded.
         store: OemStore,
+        /// The leader's registered source names at transfer time.
+        sources: Vec<String>,
     },
     /// Leader → replica: WAL record payloads in
     /// `[from_offset, next_offset)`, plus where the leader's log ends
     /// so the replica can meter its own lag. Empty `records` with
     /// `next_offset == leader_offset` means caught up.
     WalBatch {
+        /// The store shard whose log these records extend.
+        shard: usize,
         /// Generation these records belong to.
         generation: u64,
         /// Offset of the first shipped record.
@@ -288,13 +300,19 @@ pub enum Message {
         remaining_records: u64,
     },
     /// Replica → leader: poll/acknowledge with the replica's applied
-    /// position; the leader answers with the next [`Message::WalBatch`]
-    /// (or a [`Message::SnapshotXfer`] when the position went stale).
+    /// per-shard positions; the leader answers with the next
+    /// [`Message::WalBatch`] (or a [`Message::SnapshotXfer`] for a
+    /// shard whose position went stale).
     ReplicaStatus {
-        /// Generation of the replica's applied position.
-        generation: u64,
-        /// Bytes of that generation's log the replica has applied.
-        applied_offset: u64,
+        /// Per-shard applied `(generation, offset)` positions.
+        positions: Vec<(u64, u64)>,
+    },
+    /// Leader → replica: the subscription can never be served (the
+    /// replica's shard count differs from the leader's); `reason` says
+    /// why. The replica must not retry.
+    ReplicaRefused {
+        /// Why the leader refused.
+        reason: String,
     },
     /// Subscriber → source-server: start (or restart) the change feed
     /// for `source` at sequence `from_seq`. A `from_seq` the server's
@@ -361,6 +379,24 @@ const TAG_SUBSCRIBE_SOURCE: u8 = 15;
 const TAG_FEED_STATUS: u8 = 16;
 const TAG_CHANGE_BATCH: u8 = 17;
 const TAG_CHANGE_ACK: u8 = 18;
+const TAG_REPLICA_REFUSED: u8 = 19;
+
+fn write_positions(buf: &mut Vec<u8>, positions: &[(u64, u64)]) {
+    write_varint(buf, positions.len() as u64);
+    for (generation, offset) in positions {
+        write_varint(buf, *generation);
+        write_varint(buf, *offset);
+    }
+}
+
+fn read_positions(r: &mut Reader<'_>) -> Result<Vec<(u64, u64)>, ProtoError> {
+    let count = r.varint()? as usize;
+    let mut positions = Vec::with_capacity(count.min(64));
+    for _ in 0..count {
+        positions.push((r.varint()?, r.varint()?));
+    }
+    Ok(positions)
+}
 
 fn write_store(buf: &mut Vec<u8>, store: &OemStore) {
     let bytes = encode_store(store);
@@ -479,20 +515,27 @@ impl Message {
             }
             Message::Ping => buf.push(TAG_PING),
             Message::Pong => buf.push(TAG_PONG),
-            Message::Subscribe {
-                generation,
-                from_offset,
-            } => {
+            Message::Subscribe { positions } => {
                 buf.push(TAG_SUBSCRIBE);
-                write_varint(&mut buf, *generation);
-                write_varint(&mut buf, *from_offset);
+                write_positions(&mut buf, positions);
             }
-            Message::SnapshotXfer { generation, store } => {
+            Message::SnapshotXfer {
+                shard,
+                generation,
+                store,
+                sources,
+            } => {
                 buf.push(TAG_SNAPSHOT_XFER);
+                write_varint(&mut buf, *shard as u64);
                 write_varint(&mut buf, *generation);
                 write_store(&mut buf, store);
+                write_varint(&mut buf, sources.len() as u64);
+                for name in sources {
+                    write_string(&mut buf, name);
+                }
             }
             Message::WalBatch {
+                shard,
                 generation,
                 from_offset,
                 records,
@@ -501,6 +544,7 @@ impl Message {
                 remaining_records,
             } => {
                 buf.push(TAG_WAL_BATCH);
+                write_varint(&mut buf, *shard as u64);
                 write_varint(&mut buf, *generation);
                 write_varint(&mut buf, *from_offset);
                 write_varint(&mut buf, *next_offset);
@@ -512,13 +556,13 @@ impl Message {
                     buf.extend_from_slice(r);
                 }
             }
-            Message::ReplicaStatus {
-                generation,
-                applied_offset,
-            } => {
+            Message::ReplicaStatus { positions } => {
                 buf.push(TAG_REPLICA_STATUS);
-                write_varint(&mut buf, *generation);
-                write_varint(&mut buf, *applied_offset);
+                write_positions(&mut buf, positions);
+            }
+            Message::ReplicaRefused { reason } => {
+                buf.push(TAG_REPLICA_REFUSED);
+                write_string(&mut buf, reason);
             }
             Message::SubscribeSource { source, from_seq } => {
                 buf.push(TAG_SUBSCRIBE_SOURCE);
@@ -602,15 +646,26 @@ impl Message {
             TAG_PING => Message::Ping,
             TAG_PONG => Message::Pong,
             TAG_SUBSCRIBE => Message::Subscribe {
-                generation: r.varint()?,
-                from_offset: r.varint()?,
+                positions: read_positions(&mut r)?,
             },
             TAG_SNAPSHOT_XFER => {
+                let shard = r.varint()? as usize;
                 let generation = r.varint()?;
                 let store = read_store(&mut r)?;
-                Message::SnapshotXfer { generation, store }
+                let count = r.varint()? as usize;
+                let mut sources = Vec::with_capacity(count.min(1 << 10));
+                for _ in 0..count {
+                    sources.push(r.string()?);
+                }
+                Message::SnapshotXfer {
+                    shard,
+                    generation,
+                    store,
+                    sources,
+                }
             }
             TAG_WAL_BATCH => {
+                let shard = r.varint()? as usize;
                 let generation = r.varint()?;
                 let from_offset = r.varint()?;
                 let next_offset = r.varint()?;
@@ -623,6 +678,7 @@ impl Message {
                     records.push(r.take(len)?.to_vec());
                 }
                 Message::WalBatch {
+                    shard,
                     generation,
                     from_offset,
                     records,
@@ -632,8 +688,10 @@ impl Message {
                 }
             }
             TAG_REPLICA_STATUS => Message::ReplicaStatus {
-                generation: r.varint()?,
-                applied_offset: r.varint()?,
+                positions: read_positions(&mut r)?,
+            },
+            TAG_REPLICA_REFUSED => Message::ReplicaRefused {
+                reason: r.string()?,
             },
             TAG_SUBSCRIBE_SOURCE => Message::SubscribeSource {
                 source: r.string()?,
@@ -806,14 +864,16 @@ mod tests {
     fn replication_messages_round_trip() {
         let msgs = vec![
             Message::Subscribe {
-                generation: 3,
-                from_offset: 13,
+                positions: vec![(3, 13), (0, 40)],
             },
             Message::ReplicaStatus {
-                generation: u64::MAX,
-                applied_offset: 0,
+                positions: vec![(u64::MAX, 0)],
+            },
+            Message::ReplicaRefused {
+                reason: "follower has 2 shards, leader has 4".into(),
             },
             Message::WalBatch {
+                shard: 3,
                 generation: 2,
                 from_offset: 13,
                 records: vec![b"one".to_vec(), Vec::new(), b"three".to_vec()],
@@ -825,28 +885,18 @@ mod tests {
         for msg in msgs {
             let decoded = Message::decode(&msg.encode()).unwrap();
             match (&msg, &decoded) {
+                (Message::Subscribe { positions: p1 }, Message::Subscribe { positions: p2 })
+                | (
+                    Message::ReplicaStatus { positions: p1 },
+                    Message::ReplicaStatus { positions: p2 },
+                ) => assert_eq!(p1, p2),
                 (
-                    Message::Subscribe {
-                        generation: g1,
-                        from_offset: o1,
-                    },
-                    Message::Subscribe {
-                        generation: g2,
-                        from_offset: o2,
-                    },
-                ) => assert_eq!((g1, o1), (g2, o2)),
-                (
-                    Message::ReplicaStatus {
-                        generation: g1,
-                        applied_offset: o1,
-                    },
-                    Message::ReplicaStatus {
-                        generation: g2,
-                        applied_offset: o2,
-                    },
-                ) => assert_eq!((g1, o1), (g2, o2)),
+                    Message::ReplicaRefused { reason: r1 },
+                    Message::ReplicaRefused { reason: r2 },
+                ) => assert_eq!(r1, r2),
                 (
                     Message::WalBatch {
+                        shard: s1,
                         generation: g1,
                         from_offset: f1,
                         records: r1,
@@ -855,6 +905,7 @@ mod tests {
                         remaining_records: m1,
                     },
                     Message::WalBatch {
+                        shard: s2,
                         generation: g2,
                         from_offset: f2,
                         records: r2,
@@ -863,7 +914,7 @@ mod tests {
                         remaining_records: m2,
                     },
                 ) => {
-                    assert_eq!((g1, f1, n1, l1, m1), (g2, f2, n2, l2, m2));
+                    assert_eq!((s1, g1, f1, n1, l1, m1), (s2, g2, f2, n2, l2, m2));
                     assert_eq!(r1, r2);
                 }
                 other => panic!("wrong shape: {other:?}"),
@@ -879,12 +930,20 @@ mod tests {
         store.add_atomic_child(root, "Symbol", "TP53").unwrap();
         let before = encode_store(&store);
         let msg = Message::SnapshotXfer {
+            shard: 2,
             generation: 4,
             store,
+            sources: vec!["LocusLink".into(), "GO".into()],
         };
         match Message::decode(&msg.encode()).unwrap() {
-            Message::SnapshotXfer { generation, store } => {
-                assert_eq!(generation, 4);
+            Message::SnapshotXfer {
+                shard,
+                generation,
+                store,
+                sources,
+            } => {
+                assert_eq!((shard, generation), (2, 4));
+                assert_eq!(sources, ["LocusLink", "GO"]);
                 assert_eq!(encode_store(&store), before);
             }
             other => panic!("wrong message: {other:?}"),
@@ -894,6 +953,7 @@ mod tests {
     #[test]
     fn truncated_wal_batch_is_a_decode_error_not_garbage() {
         let msg = Message::WalBatch {
+            shard: 0,
             generation: 1,
             from_offset: 13,
             records: vec![b"record-payload".to_vec()],

@@ -116,6 +116,10 @@ pub struct ShardedStore {
     router: ShardRouter,
     shards: Vec<Arc<OemStore>>,
     epochs: Vec<u64>,
+    /// Bit `i` set ⇔ shard `i` is exactly what [`partition`](Self::partition)
+    /// builds — fragments imported in canonical order into a fresh
+    /// store — so a one-shard vector is its own assembly.
+    canonical: u64,
 }
 
 impl ShardedStore {
@@ -150,15 +154,14 @@ impl ShardedStore {
         for (label, key, _, target) in &fragments {
             let shard = router.route(key);
             let copied = import_fragment(&mut stores[shard], flat, *target);
-            stores[shard]
-                .add_edge(roots[shard], label, copied)
-                .expect("freshly imported fragment is live");
+            stores[shard].push_fresh_edge(roots[shard], label, copied);
         }
         Ok(Self {
             root_name: root_name.to_string(),
             router,
             shards: stores.into_iter().map(Arc::new).collect(),
             epochs: vec![1; router.shards()],
+            canonical: u64::MAX,
         })
     }
 
@@ -191,6 +194,7 @@ impl ShardedStore {
             router: ShardRouter::new(shards.len()),
             shards,
             epochs,
+            canonical: 0,
         })
     }
 
@@ -269,6 +273,21 @@ impl ShardedStore {
     pub fn install(&mut self, idx: usize, store: Arc<OemStore>) {
         self.shards[idx] = store;
         self.epochs[idx] += 1;
+        self.canonical &= !(1 << idx);
+    }
+
+    /// Installs `staged`'s shard `idx` (a transaction's partition of the
+    /// new model), bumping the epoch like [`install`](Self::install).
+    pub fn adopt(&mut self, idx: usize, staged: &ShardedStore) {
+        self.install(idx, Arc::clone(&staged.shards[idx]));
+        self.canonical |= staged.canonical & (1 << idx);
+    }
+
+    /// The assembly of a one-shard vector whose shard is canonical — the
+    /// shard itself, byte-identical to [`assemble`](Self::assemble)'s
+    /// output — without building it. `None` otherwise.
+    pub fn assembled_shard(&self) -> Option<&Arc<OemStore>> {
+        (self.shards.len() == 1 && self.canonical & 1 == 1).then(|| &self.shards[0])
     }
 
     /// Shards where `staged` differs structurally from `self` — the
@@ -409,8 +428,7 @@ impl ShardedStore {
             let (label, _, target) = &lists[i][heads[i]];
             heads[i] += 1;
             let copied = import_fragment(&mut out, &self.shards[i], *target);
-            out.add_edge(out_root, label, copied)
-                .expect("freshly imported fragment is live");
+            out.push_fresh_edge(out_root, label, copied);
         }
         out
     }

@@ -146,6 +146,20 @@ impl OemStore {
         inserted
     }
 
+    /// Appends `(label, to)` to the complex object `from` without
+    /// [`add_edge`](Self::add_edge)'s duplicate scan, which is linear in
+    /// `from`'s fan-out — for callers that just allocated `to`, so the
+    /// edge cannot exist yet (building a root of many fragments).
+    pub(crate) fn push_fresh_edge(&mut self, from: Oid, label: &str, to: Oid) {
+        debug_assert!(to.index() < self.objects.len(), "{to} is live");
+        let label = self.labels.intern(label);
+        match &mut self.objects[from.index()].kind {
+            ObjectKind::Complex(edges) => edges.push(Edge { label, target: to }),
+            ObjectKind::Atomic(_) => panic!("{from} is atomic; cannot hold references"),
+        }
+        self.cache.clear();
+    }
+
     /// Convenience: allocates an atomic child and links it under `label`.
     pub fn add_atomic_child(
         &mut self,

@@ -81,6 +81,11 @@ pub struct DurableStore {
     appended_records: u64,
     appended_bytes: u64,
     snapshots: u64,
+    /// Size of the state the log compacts into: the snapshot file at
+    /// the last snapshot (or install), else the first journaled frame —
+    /// the cold journal of the whole store. See
+    /// [`DurableStore::wal_outgrown`].
+    base_bytes: u64,
 }
 
 impl DurableStore {
@@ -98,11 +103,13 @@ impl DurableStore {
         let mut recovery = RecoveryReport::default();
         let mut store = OemStore::new();
         let mut generation = 0u64;
+        let mut base_bytes = 0u64;
         if let Some((snap_store, meta)) = read_snapshot(&snap_path)? {
             recovery.snapshot_loaded = true;
             recovery.snapshot_objects = meta.objects;
             store = snap_store;
             generation = meta.generation;
+            base_bytes = meta.bytes;
         }
 
         let scanned = scan(&wal_path)?;
@@ -125,6 +132,9 @@ impl DurableStore {
                     recovery.replayed_records += 1;
                 }
                 recovery.truncated_bytes = scanned.file_len - scanned.valid_len;
+                if base_bytes == 0 {
+                    base_bytes = scanned.records.first().map_or(0, |r| 8 + r.len() as u64);
+                }
                 WalWriter::open(&wal_path, scanned.valid_len, policy)?
             }
             Some(_) => {
@@ -150,6 +160,7 @@ impl DurableStore {
             appended_records: 0,
             appended_bytes: 0,
             snapshots: 0,
+            base_bytes,
         })
     }
 
@@ -164,24 +175,21 @@ impl DurableStore {
         &self.recovery
     }
 
-    /// The data directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The fsync policy appends run under.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     /// Applies `record` to the in-memory store, then appends it to the
     /// WAL. If the record cannot be applied nothing reaches disk.
     pub fn journal(&mut self, record: &JournalRecord) -> Result<(), PersistError> {
         apply(&mut self.store, record)?;
         let bytes = self.wal.append(&record.encode())?;
+        self.count_append(bytes);
+        Ok(())
+    }
+
+    fn count_append(&mut self, bytes: u64) {
         self.appended_records += 1;
         self.appended_bytes += bytes;
-        Ok(())
+        if self.base_bytes == 0 {
+            self.base_bytes = bytes;
+        }
     }
 
     /// Applies an already-encoded record and appends the *original*
@@ -193,9 +201,24 @@ impl DurableStore {
         let record = JournalRecord::decode(payload)?;
         apply(&mut self.store, &record)?;
         let bytes = self.wal.append(payload)?;
-        self.appended_records += 1;
-        self.appended_bytes += bytes;
+        self.count_append(bytes);
         Ok(record)
+    }
+
+    /// Whether the log has outgrown the state it compacts into: more
+    /// than twice the snapshot (or cold journal) size of journal bytes
+    /// past the header. The bound scales with the store itself, so
+    /// compacting whenever it trips costs O(1) amortised per journaled
+    /// byte and keeps the WAL proportional to the store. Two counter
+    /// reads — nothing is encoded.
+    pub fn wal_outgrown(&self) -> bool {
+        self.wal.len().saturating_sub(WAL_HEADER_LEN) > self.compaction_bound()
+    }
+
+    /// The journal bytes past the header this log may hold before
+    /// [`DurableStore::wal_outgrown`] trips: twice the state size.
+    pub fn compaction_bound(&self) -> u64 {
+        2 * self.base_bytes
     }
 
     /// The current snapshot/WAL generation.
@@ -207,6 +230,12 @@ impl DurableStore {
     /// up to this instant would hold.
     pub fn wal_offset(&self) -> u64 {
         self.wal.len()
+    }
+
+    /// Whether `dir` holds a store's files (a WAL or a snapshot) at its
+    /// root.
+    pub fn holds_state(dir: &Path) -> bool {
+        dir.join(WAL_FILE).is_file() || dir.join(SNAPSHOT_FILE).is_file()
     }
 
     /// The byte offset of the first WAL frame — where a subscriber
@@ -274,7 +303,7 @@ impl DurableStore {
         store: OemStore,
         generation: u64,
     ) -> Result<(), PersistError> {
-        write_snapshot(
+        self.base_bytes = write_snapshot(
             &self.dir.join(SNAPSHOT_FILE),
             &self.dir.join(SNAPSHOT_TMP),
             &store,
@@ -328,6 +357,7 @@ impl DurableStore {
         self.wal = WalWriter::create(&self.dir.join(WAL_FILE), self.generation, self.policy)?;
         self.wal.fsyncs += fsyncs_so_far;
         self.snapshots += 1;
+        self.base_bytes = bytes;
         Ok(SnapshotMeta {
             generation: self.generation,
             objects: self.store.len(),

@@ -26,6 +26,13 @@ pub enum PersistError {
         /// What was wrong.
         reason: String,
     },
+    /// A data directory's layout does not fit the request: another
+    /// shard count, no store where one must exist, or the single-store
+    /// layout (a `wal.log` at the root, no `shards.meta`).
+    Layout {
+        /// What was wrong.
+        reason: String,
+    },
     /// A value failed to encode or decode (codec-level, not framing).
     Codec {
         /// What was wrong.
@@ -68,6 +75,7 @@ impl fmt::Display for PersistError {
                 offset,
                 reason,
             } => write!(f, "corrupt {what} at byte {offset}: {reason}"),
+            PersistError::Layout { reason } => write!(f, "data directory layout: {reason}"),
             PersistError::Codec { reason } => write!(f, "codec error: {reason}"),
             PersistError::Apply { reason } => write!(f, "cannot apply journal record: {reason}"),
             PersistError::Store(e) => write!(f, "store error: {e}"),

@@ -13,10 +13,9 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use annoda_oem::{IoFailure, OemStore, Oid};
+use annoda_oem::IoFailure;
 
-use crate::delta::sync_root;
-use crate::durable::{DurableStore, PersistStats};
+use crate::durable::{DurableStore, PersistStats, RecoveryReport};
 use crate::error::PersistError;
 use crate::wal::FsyncPolicy;
 
@@ -81,7 +80,6 @@ fn read_manifest(dir: &Path) -> Result<Option<usize>, PersistError> {
 ///
 /// [`ShardedStore`]: annoda_oem::shard::ShardedStore
 pub struct ShardedDurableStore {
-    dir: PathBuf,
     shards: Vec<DurableStore>,
 }
 
@@ -91,27 +89,32 @@ impl ShardedDurableStore {
     /// an error: the on-disk partition layout is keyed by the count and
     /// cannot be reinterpreted. Pass `shards = 0` to adopt whatever
     /// count the manifest records (error if the store does not exist).
+    /// A directory holding a single store at its root (`wal.log` or a
+    /// snapshot, no manifest) is refused rather than shadowed by new
+    /// shard segments.
     pub fn open(dir: &Path, policy: FsyncPolicy, shards: usize) -> Result<Self, PersistError> {
-        fs::create_dir_all(dir).map_err(|e| io_err("create_dir_all", dir, e))?;
-        let existing = read_manifest(dir)?;
-        let count = match (existing, shards) {
+        let layout = |reason: String| PersistError::Layout { reason };
+        let count = match (read_manifest(dir)?, shards) {
             (Some(on_disk), 0) => on_disk,
             (Some(on_disk), want) if on_disk == want => on_disk,
             (Some(on_disk), want) => {
-                return Err(PersistError::Corrupt {
-                    what: "shards.meta",
-                    offset: 0,
-                    reason: format!("store has {on_disk} shards, caller wants {want}"),
-                });
+                return Err(layout(format!(
+                    "{} holds a {on_disk}-shard store, {want} shards were asked for",
+                    dir.display()
+                )));
+            }
+            (None, _) if DurableStore::holds_state(dir) => {
+                return Err(layout(format!(
+                    "{} holds an unsharded store from an older release (state at its \
+                     root, no {SHARDS_META}); use a fresh directory",
+                    dir.display()
+                )));
             }
             (None, 0) => {
-                return Err(PersistError::Corrupt {
-                    what: "shards.meta",
-                    offset: 0,
-                    reason: "no manifest and no shard count given".to_string(),
-                });
+                return Err(layout(format!("{} holds no sharded store", dir.display())));
             }
             (None, want) => {
+                fs::create_dir_all(dir).map_err(|e| io_err("create_dir_all", dir, e))?;
                 write_manifest(dir, want)?;
                 want
             }
@@ -120,20 +123,7 @@ impl ShardedDurableStore {
         for i in 0..count {
             stores.push(DurableStore::open(&shard_dir(dir, i), policy)?);
         }
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            shards: stores,
-        })
-    }
-
-    /// Whether a sharded store already exists under `dir`.
-    pub fn exists(dir: &Path) -> bool {
-        dir.join(SHARDS_META).is_file()
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(Self { shards: stores })
     }
 
     /// Number of shard segments.
@@ -151,28 +141,48 @@ impl ShardedDurableStore {
         &mut self.shards[idx]
     }
 
-    /// Journals whatever deltas make shard `idx`'s root `name` match
-    /// `target_root` in `target` — the per-shard commit write. Only
-    /// this shard's WAL segment grows.
-    pub fn sync_shard_root(
-        &mut self,
-        idx: usize,
-        name: &str,
-        target: &OemStore,
-        target_root: Oid,
-    ) -> Result<usize, PersistError> {
-        sync_root(&mut self.shards[idx], name, target, target_root)
+    /// Stats across every segment: counters and byte sizes summed,
+    /// `snapshot_loaded` when any segment loaded one, and the highest
+    /// generation.
+    pub fn total_stats(&self) -> PersistStats {
+        self.shards
+            .iter()
+            .map(DurableStore::stats)
+            .fold(PersistStats::default(), |a, s| PersistStats {
+                generation: a.generation.max(s.generation),
+                snapshot_loaded: a.snapshot_loaded || s.snapshot_loaded,
+                replayed_records: a.replayed_records + s.replayed_records,
+                truncated_bytes: a.truncated_bytes + s.truncated_bytes,
+                wal_bytes: a.wal_bytes + s.wal_bytes,
+                appended_records: a.appended_records + s.appended_records,
+                appended_bytes: a.appended_bytes + s.appended_bytes,
+                fsyncs: a.fsyncs + s.fsyncs,
+                snapshots: a.snapshots + s.snapshots,
+            })
     }
 
-    /// Per-shard durable stats (generation, WAL bytes, object counts).
-    pub fn stats(&self) -> Vec<PersistStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
+    /// What recovery found across every segment at open time, summed
+    /// the same way as [`ShardedDurableStore::total_stats`].
+    pub fn recovery(&self) -> RecoveryReport {
+        self.shards
+            .iter()
+            .map(|s| *s.recovery())
+            .fold(RecoveryReport::default(), |a, r| RecoveryReport {
+                snapshot_loaded: a.snapshot_loaded || r.snapshot_loaded,
+                snapshot_objects: a.snapshot_objects + r.snapshot_objects,
+                replayed_records: a.replayed_records + r.replayed_records,
+                truncated_bytes: a.truncated_bytes + r.truncated_bytes,
+                generation: a.generation.max(r.generation),
+            })
     }
 
-    /// Per-shard snapshot generations — the durable face of the
-    /// in-memory epoch vector.
-    pub fn generations(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.generation()).collect()
+    /// Per-shard `(generation, WAL offset)` — the replication position
+    /// vector.
+    pub fn positions(&self) -> Vec<(u64, u64)> {
+        self.shards
+            .iter()
+            .map(|s| (s.generation(), s.wal_offset()))
+            .collect()
     }
 
     /// Fsyncs every shard segment.
@@ -182,27 +192,13 @@ impl ShardedDurableStore {
         }
         Ok(())
     }
-
-    /// Compacts one shard: snapshot + WAL reset for that segment only.
-    pub fn snapshot_shard(&mut self, idx: usize) -> Result<(), PersistError> {
-        self.shards[idx].snapshot()?;
-        Ok(())
-    }
-
-    /// Closes every segment, returning final per-shard stats.
-    pub fn close(self) -> Result<Vec<PersistStats>, PersistError> {
-        let mut out = Vec::with_capacity(self.shards.len());
-        for s in self.shards {
-            out.push(s.close()?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use annoda_oem::shard::ShardedStore;
+    use annoda_oem::OemStore;
 
     fn gml(symbols: &[&str]) -> OemStore {
         let mut s = OemStore::new();
@@ -226,9 +222,7 @@ mod tests {
             for i in 0..3 {
                 let store = sharded.shard(i);
                 let root = store.named("ANNODA-GML").unwrap();
-                durable
-                    .sync_shard_root(i, "ANNODA-GML", store, root)
-                    .unwrap();
+                crate::delta::sync_root(durable.shard_mut(i), "ANNODA-GML", store, root).unwrap();
             }
             durable.sync_all().unwrap();
         }
@@ -254,6 +248,27 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("annoda-sharded-miss-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         assert!(ShardedDurableStore::open(&dir, FsyncPolicy::OnSnapshot, 0).is_err());
+        assert!(!dir.exists(), "a refused open leaves no directory behind");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unsharded_layout_is_refused_not_shadowed() {
+        let dir = std::env::temp_dir().join(format!("annoda-sharded-flat-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut flat = DurableStore::open(&dir, FsyncPolicy::OnSnapshot).unwrap();
+        let store = gml(&["TP53"]);
+        let root = store.named("ANNODA-GML").unwrap();
+        crate::delta::sync_root(&mut flat, "ANNODA-GML", &store, root).unwrap();
+        drop(flat);
+        match ShardedDurableStore::open(&dir, FsyncPolicy::OnSnapshot, 1) {
+            Err(PersistError::Layout { reason }) => {
+                assert!(reason.contains("unsharded"), "{reason}")
+            }
+            other => panic!("expected a layout refusal, got {:?}", other.err()),
+        }
+        assert!(!dir.join(SHARDS_META).exists(), "nothing was written");
+        assert!(!shard_dir(&dir, 0).exists(), "nothing was written");
         let _ = fs::remove_dir_all(&dir);
     }
 }

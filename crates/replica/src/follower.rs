@@ -1,16 +1,18 @@
 //! [`ReplicaClient`] — the follower's side of the replication stream.
 //!
 //! One background thread: connect, subscribe from the local durable
-//! position (or from an impossible position to force a snapshot
-//! transfer when the local WAL is not a trusted replica), then poll —
-//! one `ReplicaStatus` per applied batch, sleeping briefly while
-//! caught up. Any transport error, frame corruption, or position the
-//! leader cannot serve tears the connection down and re-subscribes
-//! from the last *durably applied* position; a damaged batch is never
+//! per-shard positions (or from impossible positions to force snapshot
+//! transfers when the local WALs are not a trusted replica), then poll
+//! — one `ReplicaStatus` per applied shard batch, sleeping briefly
+//! while caught up. Any transport error, frame corruption, or position
+//! the leader cannot serve tears the connection down and re-subscribes
+//! from the last *durably applied* positions; a damaged batch is never
 //! applied, so the follower can lag but never diverge.
 //!
-//! The thread exits on [`ReplicaClient::shutdown`]/drop, or on its own
-//! when the node stops being a follower (promotion).
+//! The thread exits on [`ReplicaClient::shutdown`]/drop, on its own
+//! when the node stops being a follower (promotion), or when the
+//! leader refuses the subscription for good (a different shard count,
+//! recorded in [`ReplShared::refusal`]).
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -133,36 +135,45 @@ fn stream_once(
     proto::send_hello(&mut conn)?;
     proto::expect_hello(&mut conn)?;
 
-    // Resume from the local durable position when it is a trusted
-    // replica of the leader's log; otherwise subscribe from a position
-    // no log can serve, forcing a snapshot transfer.
-    let (generation, offset) = {
+    // Resume from the local durable positions when they are a trusted
+    // replica of the leader's logs; otherwise subscribe from positions
+    // no log can serve, forcing snapshot transfers.
+    let mut positions = {
         let sys = system.read().expect("system lock");
-        sys.replica_resume_position().unwrap_or((u64::MAX, 0))
+        sys.replica_resume_position()
+            .unwrap_or_else(|| vec![(u64::MAX, 0); sys.shards().shard_count()])
     };
     proto::send(
         &mut conn,
         &Message::Subscribe {
-            generation,
-            from_offset: offset,
+            positions: positions.clone(),
         },
     )?;
+    // Per shard: (leader log end, applied offset, records not yet
+    // shipped) as of that shard's last batch.
+    let mut lag = vec![(0u64, 0u64, 0u64); positions.len()];
 
     loop {
         if stop.load(Ordering::SeqCst) || repl.role() != Role::Follower {
             return Ok(());
         }
-        let position = match proto::recv(&mut conn)? {
-            Message::SnapshotXfer { generation, store } => {
+        match proto::recv(&mut conn)? {
+            Message::SnapshotXfer {
+                shard,
+                generation,
+                store,
+                sources,
+            } => {
                 let bytes = encode_store(&store).len() as u64;
                 let mut sys = system.write().expect("system lock");
                 let base = sys
-                    .install_replica_snapshot(store, generation)
+                    .install_replica_snapshot(shard, store, generation, &sources)
                     .map_err(|e| ProtoError::Frame(format!("snapshot install: {e}")))?;
                 repl.snapshot_xfer_bytes.fetch_add(bytes, Ordering::Relaxed);
-                (generation, base)
+                positions[shard] = (generation, base);
             }
             Message::WalBatch {
+                shard,
                 generation,
                 from_offset,
                 records,
@@ -172,12 +183,23 @@ fn stream_once(
             } => {
                 let applied = {
                     let mut sys = system.write().expect("system lock");
-                    sys.apply_replica_batch(generation, from_offset, &records)
+                    sys.apply_replica_batch(shard, generation, from_offset, &records)
                         .map_err(|e| ProtoError::Frame(format!("batch apply: {e}")))?
                 };
                 debug_assert_eq!(applied, next_offset);
-                repl.set_lag(leader_offset, applied, remaining_records);
-                if applied >= leader_offset && remaining_records == 0 {
+                positions[shard] = (generation, applied);
+                if records.is_empty() {
+                    // The leader answers empty only when every shard is
+                    // caught up.
+                    lag.iter_mut()
+                        .for_each(|(end, at, left)| (*at, *left) = (*end, 0));
+                }
+                lag[shard] = (leader_offset, applied, remaining_records);
+                let (leader_end, applied_total, behind) = lag
+                    .iter()
+                    .fold((0, 0, 0), |(e, a, r), l| (e + l.0, a + l.1, r + l.2));
+                repl.set_lag(leader_end, applied_total, behind);
+                if applied_total >= leader_end && behind == 0 {
                     *caught_up_at = Some(Instant::now());
                     repl.lag_us.store(0, Ordering::Release);
                 } else {
@@ -189,7 +211,11 @@ fn stream_once(
                 if records.is_empty() {
                     std::thread::sleep(config.poll_interval);
                 }
-                (generation, applied)
+            }
+            // Permanent: re-subscribing would be refused again.
+            Message::ReplicaRefused { reason } => {
+                *repl.refusal.lock() = reason;
+                return Ok(());
             }
             // Anything else is a protocol violation; re-subscribe.
             other => {
@@ -197,12 +223,11 @@ fn stream_once(
                     "unexpected replication message: {other:?}"
                 )))
             }
-        };
+        }
         proto::send(
             &mut conn,
             &Message::ReplicaStatus {
-                generation: position.0,
-                applied_offset: position.1,
+                positions: positions.clone(),
             },
         )?;
     }

@@ -2,10 +2,12 @@
 //!
 //! A small AFED server (accept loop + bounded worker pool, mirroring
 //! `annoda-federation`'s `SourceServer`) that answers exactly three
-//! things: `Subscribe` and `ReplicaStatus` with the next `WalBatch`
-//! (or a `SnapshotXfer` when the subscriber's position is unservable),
-//! and `Ping` with `Pong`. Batches are read under the system's *read*
-//! lock — shipping never blocks serving, only writes do.
+//! things: `Subscribe` and `ReplicaStatus` with the next shard's
+//! `WalBatch` (or that shard's `SnapshotXfer` when the subscriber's
+//! position for it is unservable, or `ReplicaRefused` when the
+//! subscriber's shard count differs), and `Ping` with `Pong`. Batches
+//! are read under the system's *read* lock — shipping never blocks
+//! serving, only writes do.
 
 use std::collections::VecDeque;
 use std::io;
@@ -16,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use annoda::{DurableSystem, ReplShared};
+use annoda::DurableSystem;
 use annoda_federation::proto::{self, Message};
 use annoda_persist::crc32;
 
@@ -67,9 +69,9 @@ pub struct LeaderServer {
 type ConnQueue = Arc<(Mutex<VecDeque<TcpStream>>, Condvar)>;
 
 impl LeaderServer {
-    /// Binds `bind` (port 0 for ephemeral) and ships `system`'s WAL to
-    /// subscribers until shutdown or drop. Fails fast when the system
-    /// has no durable store — there is no log to ship.
+    /// Binds `bind` (port 0 for ephemeral) and ships `system`'s shard
+    /// WALs to subscribers until shutdown or drop. Fails fast when the
+    /// system has no durable store — there is no log to ship.
     pub fn spawn(
         system: Arc<RwLock<DurableSystem>>,
         bind: &str,
@@ -77,7 +79,7 @@ impl LeaderServer {
     ) -> io::Result<LeaderServer> {
         {
             let sys = system.read().expect("system lock");
-            if sys.wal_position().is_none() {
+            if !sys.is_durable() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     "replication needs a durable system (no --data-dir, no WAL to ship)",
@@ -217,46 +219,73 @@ fn await_request(conn: &TcpStream, stop: &AtomicBool, read_timeout: Duration) ->
     }
 }
 
-/// Computes the reply to a subscriber at `(generation, from_offset)`:
-/// the next batch, or a snapshot transfer when the position is
-/// unservable. `None` drops the session (the store is gone or
-/// unreadable — the subscriber will reconnect and try again).
+/// Computes the reply to a subscriber at per-shard `positions`,
+/// scanning shards round-robin from `*next`: the first shard with
+/// records to ship gets a batch, the first with an unservable position
+/// a snapshot transfer. When every shard is caught up the reply is an
+/// empty batch for the last shard scanned. A position vector of the
+/// wrong length is refused for good. `None` drops the session (the
+/// store is gone or unreadable — the subscriber will reconnect and try
+/// again).
 fn position_reply(
     system: &RwLock<DurableSystem>,
-    generation: u64,
-    from_offset: u64,
+    positions: &[(u64, u64)],
+    next: &mut usize,
     config: &LeaderConfig,
-) -> Option<(Message, Arc<ReplShared>)> {
+) -> Option<Message> {
     let sys = system.read().expect("system lock");
+    let shards = sys.shards().shard_count();
+    if positions.len() != shards {
+        return Some(Message::ReplicaRefused {
+            reason: format!(
+                "follower has {} store shards, leader has {shards}; open the follower \
+                 with --store-shards {shards} over an empty data dir",
+                positions.len()
+            ),
+        });
+    }
     let repl = sys.repl_handle();
-    match sys.read_wal_tail(generation, from_offset, config.max_batch_bytes) {
-        Ok(Some(tail)) => {
-            let shipped: u64 = tail.records.iter().map(|r| r.len() as u64).sum();
-            if !tail.records.is_empty() {
-                repl.batches_sent.fetch_add(1, Ordering::Relaxed);
-                repl.shipped_bytes.fetch_add(shipped, Ordering::Relaxed);
-            }
-            Some((
-                Message::WalBatch {
+    let mut caught_up = None;
+    for k in 0..shards {
+        let shard = (*next + k) % shards;
+        let (generation, from_offset) = positions[shard];
+        match sys.read_wal_tail(shard, generation, from_offset, config.max_batch_bytes) {
+            Ok(Some(tail)) => {
+                let shipped: u64 = tail.records.iter().map(|r| r.len() as u64).sum();
+                let empty = tail.records.is_empty();
+                let batch = Message::WalBatch {
+                    shard,
                     generation: tail.generation,
                     from_offset,
                     records: tail.records,
                     next_offset: tail.next_offset,
                     leader_offset: tail.end_offset,
                     remaining_records: tail.remaining_records,
-                },
-                repl,
-            ))
-        }
-        Ok(None) => match sys.base_snapshot() {
-            Ok((store, generation)) => {
-                repl.snapshot_xfers_sent.fetch_add(1, Ordering::Relaxed);
-                Some((Message::SnapshotXfer { generation, store }, repl))
+                };
+                if empty {
+                    caught_up = Some(batch);
+                    continue;
+                }
+                *next = shard + 1;
+                repl.batches_sent.fetch_add(1, Ordering::Relaxed);
+                repl.shipped_bytes.fetch_add(shipped, Ordering::Relaxed);
+                return Some(batch);
             }
-            Err(_) => None,
-        },
-        Err(_) => None,
+            Ok(None) => {
+                let (store, generation) = sys.base_snapshot(shard).ok()?;
+                *next = shard + 1;
+                repl.snapshot_xfers_sent.fetch_add(1, Ordering::Relaxed);
+                return Some(Message::SnapshotXfer {
+                    shard,
+                    generation,
+                    store,
+                    sources: sys.source_names(),
+                });
+            }
+            Err(_) => return None,
+        }
     }
+    caught_up
 }
 
 fn serve_subscriber(
@@ -272,6 +301,7 @@ fn serve_subscriber(
     if proto::expect_hello(&mut conn).is_err() || proto::send_hello(&mut conn).is_err() {
         return;
     }
+    let mut next_shard = 0;
     while !stop.load(Ordering::SeqCst) {
         if !await_request(&conn, stop, config.read_timeout) {
             return;
@@ -281,17 +311,12 @@ fn serve_subscriber(
             Err(_) => return,
         };
         let reply = match request {
-            Message::Subscribe {
-                generation,
-                from_offset,
+            Message::Subscribe { positions } | Message::ReplicaStatus { positions } => {
+                match position_reply(system, &positions, &mut next_shard, &config) {
+                    Some(reply) => reply,
+                    None => return,
+                }
             }
-            | Message::ReplicaStatus {
-                generation,
-                applied_offset: from_offset,
-            } => match position_reply(system, generation, from_offset, &config) {
-                Some((reply, _repl)) => reply,
-                None => return,
-            },
             Message::Ping => Message::Pong,
             // Anything else on a replication socket is a protocol
             // violation; drop the session.

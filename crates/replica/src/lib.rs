@@ -2,41 +2,44 @@
 //!
 //! The warehousing tier scaled horizontally: one integrating *leader*
 //! (the mediator process that owns the sources and the writes) ships
-//! its `annoda-persist` WAL over the AFED wire protocol to any number
-//! of read-only *followers*, each serving `/genes`, `/lorel`, and
-//! `/search` from its own byte-identical copy of the materialised
-//! ANNODA-GML store.
+//! its `annoda-persist` WALs — one per store shard — over the AFED wire
+//! protocol to any number of read-only *followers*, each serving
+//! `/genes`, `/lorel`, and `/search` from its own byte-identical copy
+//! of the materialised ANNODA-GML shards.
 //!
 //! The protocol is pull-based and preserves AFED's strict
 //! request/response alternation:
 //!
 //! ```text
-//! follower                          leader
-//!    | Subscribe{gen, offset}          |
-//!    |-------------------------------->|
-//!    |        SnapshotXfer | WalBatch  |   unservable position → full
-//!    |<--------------------------------|   state; otherwise records
-//!    | ReplicaStatus{gen, applied}     |
-//!    |-------------------------------->|   ... and so on, one batch
-//!    |                    WalBatch     |   per poll; empty batch =
-//!    |<--------------------------------|   caught up
+//! follower                              leader
+//!    | Subscribe{[(gen, offset); N]}       |
+//!    |------------------------------------>|
+//!    |  SnapshotXfer{shard} | WalBatch{shard}  unservable shard position
+//!    |<------------------------------------|   → that shard's state;
+//!    | ReplicaStatus{[(gen, applied); N]}  |   otherwise its records
+//!    |------------------------------------>|   ... one shard batch per
+//!    |                    WalBatch{shard}  |   poll, round-robin; empty
+//!    |<------------------------------------|   batch = all caught up
 //! ```
 //!
-//! Positions are `(generation, byte offset)` pairs into the leader's
-//! log. Followers journal the *original* record bytes
-//! ([`annoda::DurableStore::journal_raw`]), so a follower's WAL is
-//! byte-identical to the leader's prefix and its own file length *is*
-//! its replication position — restarts resume with no handshake state.
-//! A torn or corrupted batch frame is caught by the AFED crc32 framing
-//! and answered by tearing the subscription down and re-subscribing
-//! from the last durable position, never by applying garbage.
+//! A position is a vector of `(generation, byte offset)` pairs, one per
+//! shard log. Followers journal the *original* record bytes
+//! ([`annoda::DurableStore::journal_raw`]) into the same shard's
+//! segment, so each follower WAL is byte-identical to the leader's
+//! prefix and its own file length *is* that shard's replication
+//! position — restarts resume with no handshake state. A follower whose
+//! shard count differs from the leader's is refused with
+//! `ReplicaRefused` naming both counts. A torn or corrupted batch frame
+//! is caught by the AFED crc32 framing and answered by tearing the
+//! subscription down and re-subscribing from the last durable
+//! positions, never by applying garbage.
 //!
 //! Failover: any follower can be promoted
-//! ([`annoda::DurableSystem::promote`]) — it seals the replicated WAL
-//! behind a snapshot (bumping the generation so the old stream can
-//! never be confused with the new one) and starts accepting writes;
-//! surviving followers re-subscribe to it and bootstrap from its
-//! snapshot.
+//! ([`annoda::DurableSystem::promote`]) — it seals every replicated
+//! shard WAL behind a snapshot (bumping each generation so the old
+//! stream can never be confused with the new one) and starts accepting
+//! writes; surviving followers re-subscribe to it and bootstrap from
+//! its snapshots.
 
 pub mod follower;
 pub mod leader;

@@ -1,5 +1,6 @@
 //! Socket-level replication tests: a real [`LeaderServer`] shipping a
-//! real WAL over TCP into a [`ReplicaClient`]-driven follower.
+//! real per-shard WAL set over TCP into a [`ReplicaClient`]-driven
+//! follower.
 
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -38,17 +39,41 @@ fn wait_until(timeout: Duration, what: &str, mut pred: impl FnMut() -> bool) {
     }
 }
 
+/// Store shards on both ends — more than one, so batches interleave
+/// across shard logs.
+const SHARDS: usize = 2;
+
+fn leader_at(dir: &std::path::Path) -> DurableSystem {
+    DurableSystem::open_sharded(system(), dir, FsyncPolicy::Always, SHARDS).unwrap()
+}
+
+fn follower_at(dir: &std::path::Path) -> DurableSystem {
+    DurableSystem::open_follower(system(), dir, FsyncPolicy::Always, SHARDS).unwrap()
+}
+
 fn caught_up(leader: &RwLock<DurableSystem>, follower: &RwLock<DurableSystem>) -> bool {
     let l = leader.read().unwrap().wal_position();
     let f = follower.read().unwrap().wal_position();
     l == f
 }
 
+/// The canonical encoding of the served global model.
+fn served(sys: &RwLock<DurableSystem>) -> Vec<u8> {
+    encode_store(&sys.read().unwrap().query_snapshot().unwrap().store)
+}
+
+/// Every shard's WAL file, in shard order.
+fn wal_files(dir: &std::path::Path) -> Vec<Vec<u8>> {
+    (0..SHARDS)
+        .map(|i| std::fs::read(dir.join(format!("shard-{i:03}")).join("wal.log")).unwrap())
+        .collect()
+}
+
 #[test]
 fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
     let leader_dir = tmp_dir("boot-leader");
     let follower_dir = tmp_dir("boot-follower");
-    let mut sys = DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap();
+    let mut sys = leader_at(&leader_dir);
     // Past generation 0: a fresh follower cannot replay its way here
     // and must receive a genuine snapshot transfer.
     sys.snapshot().unwrap();
@@ -57,9 +82,7 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
     let server =
         LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", LeaderConfig::default()).unwrap();
 
-    let follower = Arc::new(RwLock::new(
-        DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap(),
-    ));
+    let follower = Arc::new(RwLock::new(follower_at(&follower_dir)));
     let mut client = ReplicaClient::spawn(
         Arc::clone(&follower),
         &server.addr().to_string(),
@@ -69,14 +92,13 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
     wait_until(Duration::from_secs(10), "bootstrap to converge", || {
         caught_up(&leader, &follower)
     });
+    assert_eq!(
+        served(&follower),
+        served(&leader),
+        "bootstrap converges to the leader's store"
+    );
     {
-        let l = leader.read().unwrap();
         let f = follower.read().unwrap();
-        assert_eq!(
-            encode_store(f.persisted_gml().unwrap()),
-            encode_store(l.persisted_gml().unwrap()),
-            "bootstrap converges to the leader's store"
-        );
         let repl = f.repl_handle();
         let stats = repl.stats();
         assert!(
@@ -90,20 +112,15 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
     wait_until(Duration::from_secs(10), "live write to replicate", || {
         caught_up(&leader, &follower)
     });
+    assert_eq!(served(&follower), served(&leader), "live tail converges");
+    // The replicated WALs are byte-identical to the leader's files.
+    assert_eq!(
+        wal_files(&leader_dir),
+        wal_files(&follower_dir),
+        "follower WALs are byte-identical copies"
+    );
     {
-        let l = leader.read().unwrap();
         let f = follower.read().unwrap();
-        assert_eq!(
-            encode_store(f.persisted_gml().unwrap()),
-            encode_store(l.persisted_gml().unwrap()),
-            "live tail converges"
-        );
-        // The replicated WAL is byte-identical to the leader's file.
-        assert_eq!(
-            std::fs::read(leader_dir.join("wal.log")).unwrap(),
-            std::fs::read(follower_dir.join("wal.log")).unwrap(),
-            "follower WAL is a byte-identical copy"
-        );
         let stats = f.repl_handle().stats();
         assert_eq!(stats.lag_records, 0);
         assert_eq!(stats.lag_bytes, 0);
@@ -119,9 +136,7 @@ fn follower_bootstraps_from_snapshot_and_tails_live_writes() {
 fn corrupt_batches_force_resubscribe_never_divergence() {
     let leader_dir = tmp_dir("corrupt-leader");
     let follower_dir = tmp_dir("corrupt-follower");
-    let leader = Arc::new(RwLock::new(
-        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
-    ));
+    let leader = Arc::new(RwLock::new(leader_at(&leader_dir)));
     // The first two non-empty batches arrive with a flipped byte; the
     // framing checksum must catch both and the client re-subscribe.
     let config = LeaderConfig {
@@ -130,9 +145,7 @@ fn corrupt_batches_force_resubscribe_never_divergence() {
     };
     let server = LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", config).unwrap();
 
-    let follower = Arc::new(RwLock::new(
-        DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap(),
-    ));
+    let follower = Arc::new(RwLock::new(follower_at(&follower_dir)));
     let mut client = ReplicaClient::spawn(
         Arc::clone(&follower),
         &server.addr().to_string(),
@@ -144,23 +157,18 @@ fn corrupt_batches_force_resubscribe_never_divergence() {
         "convergence despite corruption",
         || caught_up(&leader, &follower),
     );
-    let f = follower.read().unwrap();
-    let stats = f.repl_handle().stats();
+    let stats = follower.read().unwrap().repl_handle().stats();
     assert!(
         stats.resubscribes >= 2,
         "each damaged frame tears the subscription down (saw {})",
         stats.resubscribes
     );
     assert_eq!(
-        encode_store(f.persisted_gml().unwrap()),
-        encode_store(leader.read().unwrap().persisted_gml().unwrap()),
+        served(&follower),
+        served(&leader),
         "no damaged byte was ever applied"
     );
-    assert_eq!(
-        std::fs::read(leader_dir.join("wal.log")).unwrap(),
-        std::fs::read(follower_dir.join("wal.log")).unwrap(),
-    );
-    drop(f);
+    assert_eq!(wal_files(&leader_dir), wal_files(&follower_dir));
 
     client.shutdown();
     drop(server);
@@ -172,15 +180,11 @@ fn corrupt_batches_force_resubscribe_never_divergence() {
 fn promotion_stops_the_client_and_restarted_follower_resumes() {
     let leader_dir = tmp_dir("promo-leader");
     let follower_dir = tmp_dir("promo-follower");
-    let leader = Arc::new(RwLock::new(
-        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).unwrap(),
-    ));
+    let leader = Arc::new(RwLock::new(leader_at(&leader_dir)));
     let server =
         LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", LeaderConfig::default()).unwrap();
 
-    let follower = Arc::new(RwLock::new(
-        DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap(),
-    ));
+    let follower = Arc::new(RwLock::new(follower_at(&follower_dir)));
     let mut client = ReplicaClient::spawn(
         Arc::clone(&follower),
         &server.addr().to_string(),
@@ -196,8 +200,7 @@ fn promotion_stops_the_client_and_restarted_follower_resumes() {
     let position = follower.read().unwrap().wal_position();
     {
         let mut guard = follower.write().unwrap();
-        let resumed =
-            DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always).unwrap();
+        let resumed = follower_at(&follower_dir);
         assert_eq!(resumed.replica_resume_position(), position);
         *guard = resumed;
     }
@@ -234,6 +237,42 @@ fn promotion_stops_the_client_and_restarted_follower_resumes() {
     assert!(f.unplug("OMIM").unwrap(), "promoted node accepts writes");
 
     drop(f);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&leader_dir);
+    let _ = std::fs::remove_dir_all(&follower_dir);
+}
+
+/// A follower opened with a different shard count than its leader's is
+/// refused at subscribe, with a message naming both counts — and its
+/// client stops instead of retrying forever.
+#[test]
+fn mismatched_shard_count_is_refused_at_subscribe() {
+    let leader_dir = tmp_dir("mismatch-leader");
+    let follower_dir = tmp_dir("mismatch-follower");
+    let leader = Arc::new(RwLock::new(leader_at(&leader_dir)));
+    let server =
+        LeaderServer::spawn(Arc::clone(&leader), "127.0.0.1:0", LeaderConfig::default()).unwrap();
+    let follower = Arc::new(RwLock::new(
+        DurableSystem::open_follower(system(), &follower_dir, FsyncPolicy::Always, SHARDS + 1)
+            .unwrap(),
+    ));
+    let repl = follower.read().unwrap().repl_handle();
+    let mut client = ReplicaClient::spawn(
+        Arc::clone(&follower),
+        &server.addr().to_string(),
+        fast_client(),
+    );
+    wait_until(Duration::from_secs(10), "the refusal", || {
+        repl.refusal().is_some()
+    });
+    let reason = repl.refusal().unwrap();
+    assert!(
+        reason.contains(&format!("follower has {} store shards", SHARDS + 1))
+            && reason.contains(&format!("leader has {SHARDS}")),
+        "{reason}"
+    );
+    assert_eq!(repl.stats().resubscribes, 0, "a refusal is not retried");
+    client.shutdown();
     drop(server);
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);

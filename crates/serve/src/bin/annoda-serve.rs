@@ -4,34 +4,39 @@
 //! Entirely offline — the corpus is synthesized in-process, the server
 //! is std-only. `quit` (or EOF) on stdin triggers a graceful shutdown.
 //!
-//! With `--data-dir` the materialised ANNODA-GML lives in a WAL-backed
-//! durable store: a restart warm-starts from snapshot + journal replay
+//! The materialised ANNODA-GML is one store of `--store-shards N`
+//! hash-routed shards (default 1) with per-shard MVCC epochs: refreshes
+//! commit as shard transactions, readers pin consistent epoch vectors,
+//! and the HTTP cache invalidates only the shards a write touched.
+//!
+//! With `--data-dir` every shard lives in its own WAL + snapshot
+//! segment: a restart warm-starts from snapshot + journal replay
 //! instead of re-materialising, `POST /admin/refresh` journals source
-//! deltas, and a clean `quit` writes a snapshot (a kill does not — the
-//! journal covers it).
+//! deltas, a segment whose WAL outgrows twice its snapshot is compacted,
+//! and a clean `quit` snapshots every shard with journal records (a
+//! kill does not — the journal covers it).
 //!
 //! Replication (both need `--data-dir`):
 //!
-//! - `--repl-bind ADDR` makes this node a shipping **leader**: its WAL
-//!   streams to any follower that subscribes on ADDR.
+//! - `--repl-bind ADDR` makes this node a shipping **leader**: its shard
+//!   WALs stream to any follower that subscribes on ADDR.
 //! - `--follow ADDR` makes it a read-only **follower** of the leader's
-//!   replication address: writes answer `403` (naming the leader when
-//!   `--leader-http` is given), reads serve the replicated store, and
-//!   `POST /admin/promote` fails it over to leader.
-//!
-//! With `--store-shards N` the materialised store is split into N
-//! hash-routed shards with per-shard MVCC epochs: refreshes commit as
-//! shard transactions, readers pin consistent epoch vectors, and the
-//! HTTP cache invalidates only the shards a refresh actually touched.
+//!   replication address, with the leader's `--store-shards` count (a
+//!   different count is refused by the leader): writes answer `403`
+//!   (naming the leader when `--leader-http` is given), reads serve the
+//!   replicated store, `GET /healthz` reports the per-shard position
+//!   reads can pin with `?min_position=`, and `POST /admin/promote`
+//!   fails it over to leader.
 //!
 //! With `--subscribe SOURCE=HOST:PORT` (repeatable) the node tails a
 //! source-server's change feed: record-level deltas are absorbed
-//! through `DurableSystem::absorb_delta` as they are pushed, so the
-//! served view stays fresh without `POST /admin/refresh` round trips.
-//! `/metrics` exposes per-source feed gauges and `/healthz` the feed
-//! positions. A `--follow` node rejects `--subscribe` — a follower's
-//! store must stay a byte-identical replica of its leader's WAL, so
-//! it inherits streamed changes through replication instead.
+//! through `DurableSystem::absorb_apply`/`absorb_commit` as they are
+//! pushed, so the served view stays fresh without `POST /admin/refresh`
+//! round trips. `/metrics` exposes per-source feed gauges and
+//! `/healthz` the feed positions. A `--follow` node rejects
+//! `--subscribe` — a follower's store must stay a byte-identical
+//! replica of its leader's WALs, so it inherits streamed changes
+//! through replication instead.
 //!
 //! ```text
 //! annoda-serve [--addr HOST:PORT] [--loci N] [--seed N]
@@ -44,152 +49,145 @@
 //! ```
 
 use std::io::BufRead;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use annoda::{Annoda, DurableSystem, FsyncPolicy, Role};
+use annoda_oem::MAX_SHARDS;
 use annoda_replica::{LeaderConfig, LeaderServer, ReplicaClient, ReplicaConfig};
 use annoda_serve::{ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 use annoda_stream::{StreamClient, StreamConfig};
 
-fn main() -> ExitCode {
-    let mut addr = "127.0.0.1:8642".to_string();
-    let mut loci = 500usize;
-    let mut seed = 7u64;
-    let mut shards = 2usize;
-    let mut workers = 4usize;
-    let mut queue = 64usize;
-    let mut store_shards: Option<usize> = None;
-    let mut data_dir: Option<String> = None;
-    let mut fsync = FsyncPolicy::Batched(64);
-    let mut repl_bind: Option<String> = None;
-    let mut follow: Option<String> = None;
-    let mut leader_http: Option<String> = None;
-    let mut subscriptions: Vec<(String, String)> = Vec::new();
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut take = |name: &str| -> Option<String> {
-            match args.next() {
-                Some(v) => Some(v),
-                None => {
-                    eprintln!("error: {name} needs a value");
-                    None
-                }
-            }
-        };
-        match flag.as_str() {
-            "--addr" => match take("--addr") {
-                Some(v) => addr = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--loci" => match take("--loci").and_then(|v| v.parse().ok()) {
-                Some(v) => loci = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--seed" => match take("--seed").and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--shards" => match take("--shards").and_then(|v| v.parse().ok()) {
-                Some(v) => shards = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--workers" => match take("--workers").and_then(|v| v.parse().ok()) {
-                Some(v) => workers = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--queue" => match take("--queue").and_then(|v| v.parse().ok()) {
-                Some(v) => queue = v,
-                None => return ExitCode::FAILURE,
-            },
-            "--store-shards" => match take("--store-shards").and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => store_shards = Some(v),
-                _ => {
-                    eprintln!("error: --store-shards takes a shard count >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--data-dir" => match take("--data-dir") {
-                Some(v) => data_dir = Some(v),
-                None => return ExitCode::FAILURE,
-            },
-            "--fsync" => match take("--fsync").as_deref().and_then(FsyncPolicy::parse) {
-                Some(v) => fsync = v,
-                None => {
-                    eprintln!("error: --fsync takes always | batched:N | onsnapshot");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--repl-bind" => match take("--repl-bind") {
-                Some(v) => repl_bind = Some(v),
-                None => return ExitCode::FAILURE,
-            },
-            "--follow" => match take("--follow") {
-                Some(v) => follow = Some(v),
-                None => return ExitCode::FAILURE,
-            },
-            "--leader-http" => match take("--leader-http") {
-                Some(v) => leader_http = Some(v),
-                None => return ExitCode::FAILURE,
-            },
-            "--subscribe" => match take("--subscribe") {
-                Some(v) => match v.split_once('=') {
-                    Some((source, addr)) if !source.is_empty() && !addr.is_empty() => {
-                        subscriptions.push((source.to_string(), addr.to_string()));
-                    }
-                    _ => {
-                        eprintln!("error: --subscribe takes SOURCE=HOST:PORT");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => return ExitCode::FAILURE,
-            },
-            "--help" | "-h" => {
-                println!(
-                    "annoda-serve [--addr HOST:PORT] [--loci N] [--seed N] \
+const USAGE: &str = "annoda-serve [--addr HOST:PORT] [--loci N] [--seed N] \
                      [--shards N] [--workers N] [--queue N] \
-                     [--store-shards N] [--data-dir DIR] \
+                     [--store-shards N (1..=64, default 1)] [--data-dir DIR] \
                      [--fsync always|batched:N|onsnapshot] \
                      [--repl-bind HOST:PORT] [--follow HOST:PORT] \
                      [--leader-http HOST:PORT] \
-                     [--subscribe SOURCE=HOST:PORT]..."
-                );
-                return ExitCode::SUCCESS;
+                     [--subscribe SOURCE=HOST:PORT]...";
+
+/// Everything the command line asked for.
+struct Options {
+    addr: String,
+    loci: usize,
+    seed: u64,
+    shards: usize,
+    workers: usize,
+    queue: usize,
+    store_shards: usize,
+    data_dir: Option<String>,
+    fsync: FsyncPolicy,
+    repl_bind: Option<String>,
+    follow: Option<String>,
+    leader_http: Option<String>,
+    subscriptions: Vec<(String, String)>,
+}
+
+/// The value after `flag`, parsed as `what`.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} takes {what}, got `{v}`"))
+}
+
+/// Parses the command line; `Ok(None)` after printing `--help`. Every
+/// combination that cannot work is refused here, before any work.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<Options>, String> {
+    let mut o = Options {
+        addr: "127.0.0.1:8642".to_string(),
+        loci: 500,
+        seed: 7,
+        shards: 2,
+        workers: 4,
+        queue: 64,
+        store_shards: 1,
+        data_dir: None,
+        fsync: FsyncPolicy::Batched(64),
+        repl_bind: None,
+        follow: None,
+        leader_http: None,
+        subscriptions: Vec::new(),
+    };
+    while let Some(flag) = args.next() {
+        let a = &mut args;
+        match flag.as_str() {
+            "--addr" => o.addr = value(a, &flag, "HOST:PORT")?,
+            "--loci" => o.loci = value(a, &flag, "a locus count")?,
+            "--seed" => o.seed = value(a, &flag, "a number")?,
+            "--shards" => o.shards = value(a, &flag, "a reactor count")?,
+            "--workers" => o.workers = value(a, &flag, "a worker count")?,
+            "--queue" => o.queue = value(a, &flag, "a queue bound")?,
+            "--store-shards" => {
+                let what = format!("a shard count in 1..={MAX_SHARDS}");
+                o.store_shards = value(a, &flag, &what)?;
+                if !(1..=MAX_SHARDS).contains(&o.store_shards) {
+                    return Err(format!("{flag} takes {what}, got {}", o.store_shards));
+                }
             }
-            other => {
-                eprintln!("error: unknown flag `{other}` (try --help)");
-                return ExitCode::FAILURE;
+            "--data-dir" => o.data_dir = Some(value(a, &flag, "a directory")?),
+            "--fsync" => {
+                let v: String = value(a, &flag, "a policy")?;
+                o.fsync = FsyncPolicy::parse(&v).ok_or_else(|| {
+                    format!("{flag} takes always | batched:N | onsnapshot, got `{v}`")
+                })?;
             }
+            "--repl-bind" => o.repl_bind = Some(value(a, &flag, "HOST:PORT")?),
+            "--follow" => o.follow = Some(value(a, &flag, "HOST:PORT")?),
+            "--leader-http" => o.leader_http = Some(value(a, &flag, "HOST:PORT")?),
+            "--subscribe" => {
+                let v: String = value(a, &flag, "SOURCE=HOST:PORT")?;
+                match v.split_once('=') {
+                    Some((source, addr)) if !source.is_empty() && !addr.is_empty() => {
+                        o.subscriptions.push((source.to_string(), addr.to_string()));
+                    }
+                    _ => return Err(format!("{flag} takes SOURCE=HOST:PORT, got `{v}`")),
+                }
+            }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return Ok(None);
+            }
+            other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
     }
-    if (repl_bind.is_some() || follow.is_some()) && data_dir.is_none() {
-        eprintln!("error: --repl-bind / --follow need --data-dir (the WAL is the stream)");
-        return ExitCode::FAILURE;
+    if (o.repl_bind.is_some() || o.follow.is_some()) && o.data_dir.is_none() {
+        return Err("--repl-bind / --follow need --data-dir (the WAL is the stream)".into());
     }
-    if repl_bind.is_some() && follow.is_some() {
-        eprintln!("error: --repl-bind and --follow are mutually exclusive");
-        return ExitCode::FAILURE;
+    if o.repl_bind.is_some() && o.follow.is_some() {
+        return Err("--repl-bind and --follow are mutually exclusive".into());
     }
-    if store_shards.is_some() && follow.is_some() {
-        eprintln!("error: --store-shards needs a writable store (not --follow)");
-        return ExitCode::FAILURE;
-    }
-    if follow.is_some() && !subscriptions.is_empty() {
-        eprintln!(
-            "error: --subscribe needs a writable store (not --follow): a follower's \
-             store is a byte-identical replica of its leader's WAL, so it receives \
-             streamed changes through replication — subscribe on the leader instead"
+    if o.follow.is_some() && !o.subscriptions.is_empty() {
+        return Err(
+            "--subscribe needs a writable store (not --follow): a follower's \
+                    store is a byte-identical replica of its leader's WALs, so it receives \
+                    streamed changes through replication — subscribe on the leader instead"
+                .into(),
         );
-        return ExitCode::FAILURE;
     }
+    Ok(Some(o))
+}
 
-    eprintln!("generating corpus ({loci} loci, seed {seed})...");
+fn main() -> ExitCode {
+    let o = match parse(std::env::args().skip(1)) {
+        Ok(Some(o)) => o,
+        Ok(None) => return ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    eprintln!("generating corpus ({} loci, seed {})...", o.loci, o.seed);
     let base = CorpusConfig::default();
-    let factor = loci as f64 / base.loci as f64;
+    let factor = o.loci as f64 / base.loci as f64;
     let corpus = Corpus::generate(CorpusConfig {
-        seed,
+        seed: o.seed,
         ..base.scaled(factor)
     });
     let (mut system, reports) = Annoda::over_sources(
@@ -202,65 +200,47 @@ fn main() -> ExitCode {
     }
     system.registry_mut().mediator_mut().enable_cache();
 
-    let durable = match &data_dir {
-        Some(dir) => {
-            let dir = std::path::PathBuf::from(dir);
-            let opened = if follow.is_some() {
-                DurableSystem::open_follower(system, &dir, fsync)
-            } else if let Some(n) = store_shards {
-                DurableSystem::open_sharded(system, &dir, fsync, n)
-            } else {
-                DurableSystem::open(system, &dir, fsync)
-            };
-            match opened {
-                Ok(d) => {
-                    let r = d.recovery().copied().unwrap_or_default();
-                    eprintln!(
-                        "data dir {} ({}): generation {}, snapshot {} ({} objects), \
-                         replayed {} journal records, truncated {} bytes",
-                        dir.display(),
-                        d.role(),
-                        r.generation,
-                        if r.snapshot_loaded {
-                            "loaded"
-                        } else {
-                            "absent"
-                        },
-                        r.snapshot_objects,
-                        r.replayed_records,
-                        r.truncated_bytes,
-                    );
-                    d
-                }
-                Err(e) => {
-                    eprintln!("error: cannot open data dir: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let n = o.store_shards;
+    let opened = match &o.data_dir {
+        Some(dir) if o.follow.is_some() => {
+            DurableSystem::open_follower(system, Path::new(dir), o.fsync, n)
         }
-        None => match store_shards {
-            Some(n) => match DurableSystem::new_sharded(system, n) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("error: cannot shard the store: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => DurableSystem::new(system),
-        },
+        Some(dir) => DurableSystem::open_sharded(system, Path::new(dir), o.fsync, n),
+        None => DurableSystem::new_sharded(system, n),
     };
-    if let Some(n) = store_shards {
-        eprintln!("store sharded {n} ways (MVCC epochs, per-shard WAL)");
+    let durable = match opened {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("error: cannot open the store: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match (&o.data_dir, durable.recovery()) {
+        (Some(dir), Some(r)) => eprintln!(
+            "data dir {dir} ({}, {n} store shards): generation {}, snapshot {} \
+             ({} objects), replayed {} journal records, truncated {} bytes",
+            durable.role(),
+            r.generation,
+            if r.snapshot_loaded {
+                "loaded"
+            } else {
+                "absent"
+            },
+            r.snapshot_objects,
+            r.replayed_records,
+            r.truncated_bytes,
+        ),
+        _ => eprintln!("in-memory store, {n} store shards"),
     }
-    if let Some(leader) = leader_http.as_deref().or(follow.as_deref()) {
+    if let Some(leader) = o.leader_http.as_deref().or(o.follow.as_deref()) {
         durable.repl_handle().set_leader_addr(leader);
     }
 
     let config = ServeConfig {
-        addr,
-        shards,
-        workers,
-        queue_capacity: queue,
+        addr: o.addr.clone(),
+        shards: o.shards,
+        workers: o.workers,
+        queue_capacity: o.queue,
         ..ServeConfig::default()
     };
     let server = match Server::start_durable(durable, config) {
@@ -273,7 +253,7 @@ fn main() -> ExitCode {
     let bound = server.addr();
 
     let system_handle = std::sync::Arc::clone(&server.app().system);
-    let mut leader_server = match &repl_bind {
+    let mut leader_server = match &o.repl_bind {
         Some(bind) => match LeaderServer::spawn(
             std::sync::Arc::clone(&system_handle),
             bind,
@@ -290,7 +270,7 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let mut replica_client = follow.as_deref().map(|leader| {
+    let mut replica_client = o.follow.as_deref().map(|leader| {
         eprintln!("following leader WAL at {leader}");
         ReplicaClient::spawn(
             std::sync::Arc::clone(&system_handle),
@@ -298,7 +278,8 @@ fn main() -> ExitCode {
             ReplicaConfig::default(),
         )
     });
-    let mut stream_clients: Vec<StreamClient> = subscriptions
+    let mut stream_clients: Vec<StreamClient> = o
+        .subscriptions
         .iter()
         .map(|(source, feed_addr)| {
             eprintln!("tailing change feed for {source} at {feed_addr}");
@@ -319,10 +300,10 @@ fn main() -> ExitCode {
     println!("  POST /lorel                 (body: Lorel query text)");
     println!("  GET  /object/{{kind}}/{{id}}    (kind: gene|function|disease|publication)");
     println!("  GET  /search?q=...&k=...&fusion=weighted|rrf|max");
-    println!("  GET  /healthz");
+    println!("  GET  /healthz               (role, per-shard position for ?min_position=)");
     println!("  GET  /metrics");
     println!("  POST /admin/refresh         (re-pull sources, journal the delta)");
-    println!("  POST /admin/snapshot        (snapshot + journal truncation)");
+    println!("  POST /admin/snapshot        (snapshot + journal truncation per shard)");
     println!("  POST /admin/promote         (failover: follower becomes leader)");
     println!("send `quit` (or EOF) on stdin for graceful shutdown");
 
@@ -345,11 +326,14 @@ fn main() -> ExitCode {
     if let Some(leader) = leader_server.as_mut() {
         leader.shutdown();
     }
-    if data_dir.is_some() && server.app().system().role() == Role::Leader {
-        // Clean shutdown compacts into a snapshot; an unclean one (kill)
-        // leaves the journal, which recovery replays. A follower never
-        // snapshots — its WAL must stay a byte-identical leader prefix.
+    if o.data_dir.is_some() && server.app().system().role() == Role::Leader {
+        // Clean shutdown compacts into snapshots; an unclean one (kill)
+        // leaves the journals, which recovery replays. A follower never
+        // snapshots — its WALs must stay byte-identical leader prefixes.
         match server.app().system_mut().snapshot() {
+            Ok(Some(meta)) if meta.bytes == 0 => {
+                eprintln!("no snapshot needed: every shard WAL is empty")
+            }
             Ok(Some(meta)) => eprintln!(
                 "snapshot written: generation {}, {} objects, {} bytes",
                 meta.generation, meta.objects, meta.bytes

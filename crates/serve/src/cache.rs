@@ -3,30 +3,26 @@
 //! with the serving **generation** (see
 //! [`annoda::DurableSystem::generation`]).
 //!
-//! The generation is a strong cache key: it bumps on every plug,
-//! unplug, and façade mutation, so a stored response is valid exactly
-//! as long as its stamp matches the live counter — an epoch swap
-//! invalidates the whole cache wholesale, for free, with no per-entry
-//! bookkeeping. The same stamp doubles as the strong `ETag`
-//! (`"g<generation>"`), which is what makes `304 Not Modified`
-//! revalidation sound: a matching tag proves the client's copy was
-//! derived from the identical global model.
+//! The generation bumps on every plug, unplug, and façade mutation, so
+//! a stored response is valid only while its stamp matches the live
+//! counter — an epoch swap invalidates the whole cache wholesale, for
+//! free, with no per-entry bookkeeping.
 //!
-//! **Sharded mode** refines this: a transactional source refresh does
-//! *not* bump the generation — it bumps only the MVCC epochs of the
-//! store shards it changed. Each cached response carries a
-//! [`ShardDeps`]: the bitmask of store shards the answer was derived
-//! from plus the epoch-sum stamp over that mask at compute time. The
-//! entry stays valid exactly while `mask_stamp(live_epochs, mask)`
-//! still equals the recorded stamp — shard epochs only grow, so an
-//! equal sum proves none of the depended-on shards changed (warm
-//! reopens re-seed the epoch vector with a per-boot salt, so a stamp
-//! minted before a restart never falsely revalidates). A refresh
-//! that touches one shard therefore invalidates only the entries whose
-//! mask covers it; everything else keeps serving cached bytes. The
-//! `ETag` grows the same proof: `"g<G>.s<stamp>.<mask:hex>"`, which a
-//! reactor shard can revalidate inline against the live epoch vector
-//! without recomputing the response.
+//! A transactional source refresh does *not* bump the generation — it
+//! bumps only the MVCC epochs of the store shards it changed. Each
+//! cached response therefore also carries a [`ShardDeps`]: the bitmask
+//! of store shards the answer was derived from plus the epoch-sum stamp
+//! over that mask at compute time. The entry stays valid exactly while
+//! `mask_stamp(live_epochs, mask)` still equals the recorded stamp —
+//! shard epochs only grow, so an equal sum proves none of the
+//! depended-on shards changed (warm reopens re-seed the epoch vector
+//! with a per-boot salt, so a stamp minted before a restart never
+//! falsely revalidates). A refresh that touches one shard therefore
+//! invalidates only the entries whose mask covers it; everything else
+//! keeps serving cached bytes. The strong `ETag` carries the same
+//! proof, `"g<G>.s<stamp>.<mask:hex>"`, which a reactor shard can
+//! revalidate inline against the live epoch vector without recomputing
+//! the response — that is what makes `304 Not Modified` sound.
 //!
 //! Each reactor shard owns one cache instance outright — lookups and
 //! inserts are plain single-threaded map operations, no locks on the
@@ -42,9 +38,9 @@ use annoda_oem::mask_stamp;
 use crate::http::Response;
 use crate::routes::Format;
 
-/// What a cached response depends on, in sharded-store mode: the store
-/// shards whose fragments the answer surfaced, and the sum of their
-/// MVCC epochs when it was computed.
+/// What a cached response depends on: the store shards whose fragments
+/// the answer surfaced, and the sum of their MVCC epochs when it was
+/// computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardDeps {
     /// Bit `i` set ⇔ the response depends on store shard `i`.
@@ -80,76 +76,48 @@ impl ShardDeps {
     }
 }
 
-/// Whether an entry's deps are valid against the live epoch vector.
-/// Depless entries are the non-sharded mode; a dep mismatch across
-/// modes never validates.
-fn deps_current(deps: Option<ShardDeps>, epochs: Option<&[u64]>) -> bool {
-    match (deps, epochs) {
-        (None, None) => true,
-        (Some(d), Some(live)) => d.current(live),
-        _ => false,
-    }
-}
-
-/// Mints the strong entity tag for a serving generation.
-pub fn etag_for(generation: u64) -> String {
-    format!("\"g{generation}\"")
-}
-
-/// Mints the strong entity tag for a generation plus optional shard
-/// deps: `"gG"` flat, `"gG.s<stamp>.<mask:hex>"` sharded.
-pub fn etag_for_deps(generation: u64, deps: Option<ShardDeps>) -> String {
-    match deps {
-        None => etag_for(generation),
-        Some(d) => format!("\"g{generation}.s{}.{:x}\"", d.stamp, d.mask),
-    }
+/// Mints the strong entity tag for a generation plus shard deps:
+/// `"gG.s<stamp>.<mask:hex>"`.
+pub fn etag_for_deps(generation: u64, deps: ShardDeps) -> String {
+    format!("\"g{generation}.s{}.{:x}\"", deps.stamp, deps.mask)
 }
 
 /// Parses an entity tag minted by [`etag_for_deps`] back into its
-/// generation and optional deps. `None` for foreign tags.
-pub fn parse_etag(tag: &str) -> Option<(u64, Option<ShardDeps>)> {
+/// generation and deps. `None` for foreign tags.
+pub fn parse_etag(tag: &str) -> Option<(u64, ShardDeps)> {
     let inner = tag.strip_prefix('"')?.strip_suffix('"')?;
     let inner = inner.strip_prefix('g')?;
     let mut parts = inner.split('.');
     let generation: u64 = parts.next()?.parse().ok()?;
-    let Some(stamp_part) = parts.next() else {
-        return Some((generation, None));
-    };
-    let stamp: u64 = stamp_part.strip_prefix('s')?.parse().ok()?;
+    let stamp: u64 = parts.next()?.strip_prefix('s')?.parse().ok()?;
     let mask = u64::from_str_radix(parts.next()?, 16).ok()?;
     if parts.next().is_some() {
         return None;
     }
-    Some((generation, Some(ShardDeps { mask, stamp })))
+    Some((generation, ShardDeps { mask, stamp }))
 }
 
 /// Inline revalidation: the first `If-None-Match` candidate that still
 /// proves the client's copy matches the live model — same generation
-/// and, for dep-stamped tags, an unchanged epoch sum over its shard
-/// mask. Returns the tag to echo in the `304`. The `*` wildcard
-/// matches any current representation (RFC 9110 §13.1.2).
-pub fn revalidate_etag(header: &str, generation: u64, epochs: Option<&[u64]>) -> Option<String> {
+/// and an unchanged epoch sum over its shard mask. Returns the tag to
+/// echo in the `304`. The `*` wildcard matches any current
+/// representation (RFC 9110 §13.1.2) and echoes a tag over every shard.
+pub fn revalidate_etag(header: &str, generation: u64, epochs: &[u64]) -> Option<String> {
     for candidate in header.split(',').map(str::trim) {
         if candidate == "*" {
-            return Some(etag_for(generation));
+            return Some(etag_for_deps(
+                generation,
+                ShardDeps::full(epochs.len(), epochs),
+            ));
         }
         let Some((tag_generation, deps)) = parse_etag(candidate) else {
             continue;
         };
-        if tag_generation == generation && deps_current(deps, epochs) {
+        if tag_generation == generation && deps.current(epochs) {
             return Some(candidate.to_string());
         }
     }
     None
-}
-
-/// Whether an `If-None-Match` header value matches `etag` (exact strong
-/// comparison, or the `*` wildcard).
-pub fn if_none_match_matches(header: &str, etag: &str) -> bool {
-    header
-        .split(',')
-        .map(str::trim)
-        .any(|candidate| candidate == "*" || candidate == etag)
 }
 
 /// Shared cache counters, aggregated across shards for `/metrics`.
@@ -166,7 +134,7 @@ pub struct CacheGauges {
     /// Wholesale cache clears caused by a generation bump.
     pub epoch_invalidations: AtomicU64,
     /// Entries dropped selectively because a store-shard epoch their
-    /// mask covers advanced (sharded mode).
+    /// mask covers advanced.
     pub deps_invalidations: AtomicU64,
     /// Entries currently cached (sum over shards).
     pub entries: AtomicU64,
@@ -218,9 +186,9 @@ pub struct CacheKey {
 
 struct Entry {
     generation: u64,
-    /// Sharded mode: the store shards this response was derived from,
-    /// stamped at compute time. `None` in flat (generation-only) mode.
-    deps: Option<ShardDeps>,
+    /// The store shards this response was derived from, stamped at
+    /// compute time.
+    deps: ShardDeps,
     response: Response,
     last_used: u64,
 }
@@ -271,22 +239,17 @@ impl ResponseCache {
         }
     }
 
-    /// Looks up `key` for the given generation and (in sharded mode)
-    /// live epoch vector, counting a hit or miss. An entry whose shard
+    /// Looks up `key` for the given generation and live epoch vector,
+    /// counting a hit or miss. An entry whose shard
     /// deps no longer hold is removed on the spot — epochs only grow,
     /// so it can never become valid again.
-    pub fn lookup(
-        &mut self,
-        key: &CacheKey,
-        generation: u64,
-        epochs: Option<&[u64]>,
-    ) -> Option<&Response> {
+    pub fn lookup(&mut self, key: &CacheKey, generation: u64, epochs: &[u64]) -> Option<&Response> {
         self.observe_generation(generation);
         self.tick += 1;
         let tick = self.tick;
         let valid = match self.map.get_mut(key) {
             Some(entry) if entry.generation == generation => {
-                if deps_current(entry.deps, epochs) {
+                if entry.deps.current(epochs) {
                     entry.last_used = tick;
                     true
                 } else {
@@ -312,17 +275,11 @@ impl ResponseCache {
         }
     }
 
-    /// Stores a computed response, stamped with the generation (and, in
-    /// sharded mode, the shard deps) it was computed under. Ignored
-    /// when `capacity` is 0 or the stamp is already stale. Evicts the
-    /// least-recently-used entry when full.
-    pub fn insert(
-        &mut self,
-        key: CacheKey,
-        generation: u64,
-        deps: Option<ShardDeps>,
-        response: Response,
-    ) {
+    /// Stores a computed response, stamped with the generation and the
+    /// shard deps it was computed under. Ignored when `capacity` is 0 or
+    /// the stamp is already stale. Evicts the least-recently-used entry
+    /// when full.
+    pub fn insert(&mut self, key: CacheKey, generation: u64, deps: ShardDeps, response: Response) {
         if self.capacity == 0 {
             return;
         }
@@ -386,12 +343,20 @@ mod tests {
         ResponseCache::new(capacity, Arc::new(CacheGauges::default()))
     }
 
+    /// One shard at epoch 1: the live vector the generation-only cases
+    /// validate against.
+    const ONE: &[u64] = &[1];
+
+    fn one() -> ShardDeps {
+        ShardDeps::full(1, ONE)
+    }
+
     #[test]
     fn hit_returns_the_stored_bytes() {
         let mut c = cache(8);
-        assert!(c.lookup(&key("/genes"), 1, None).is_none());
-        c.insert(key("/genes"), 1, None, Response::text(200, "body"));
-        let hit = c.lookup(&key("/genes"), 1, None).expect("hit");
+        assert!(c.lookup(&key("/genes"), 1, ONE).is_none());
+        c.insert(key("/genes"), 1, one(), Response::text(200, "body"));
+        let hit = c.lookup(&key("/genes"), 1, ONE).expect("hit");
         assert_eq!(hit.body, b"body");
         let g = c.gauges().snapshot();
         assert_eq!((g.hits, g.misses, g.entries), (1, 1, 1));
@@ -400,10 +365,10 @@ mod tests {
     #[test]
     fn generation_bump_invalidates_wholesale() {
         let mut c = cache(8);
-        c.insert(key("/a"), 1, None, Response::text(200, "a"));
-        c.insert(key("/b"), 1, None, Response::text(200, "b"));
+        c.insert(key("/a"), 1, one(), Response::text(200, "a"));
+        c.insert(key("/b"), 1, one(), Response::text(200, "b"));
         assert_eq!(c.len(), 2);
-        assert!(c.lookup(&key("/a"), 2, None).is_none(), "new epoch, no hit");
+        assert!(c.lookup(&key("/a"), 2, ONE).is_none(), "new epoch, no hit");
         assert!(c.is_empty(), "the whole cache is cleared");
         let g = c.gauges().snapshot();
         assert_eq!(g.epoch_invalidations, 1);
@@ -416,42 +381,32 @@ mod tests {
         c.observe_generation(5);
         // A worker computed this under generation 4; a refresh landed
         // mid-flight. The entry must not be served as generation 5.
-        c.insert(key("/a"), 4, None, Response::text(200, "stale"));
-        assert!(c.lookup(&key("/a"), 5, None).is_none());
+        c.insert(key("/a"), 4, one(), Response::text(200, "stale"));
+        assert!(c.lookup(&key("/a"), 5, ONE).is_none());
     }
 
     #[test]
     fn lru_eviction_is_bounded_and_counted() {
         let mut c = cache(2);
-        c.insert(key("/a"), 1, None, Response::text(200, "a"));
-        c.insert(key("/b"), 1, None, Response::text(200, "b"));
-        assert!(c.lookup(&key("/a"), 1, None).is_some()); // /a is now fresher
-        c.insert(key("/c"), 1, None, Response::text(200, "c"));
+        c.insert(key("/a"), 1, one(), Response::text(200, "a"));
+        c.insert(key("/b"), 1, one(), Response::text(200, "b"));
+        assert!(c.lookup(&key("/a"), 1, ONE).is_some()); // /a is now fresher
+        c.insert(key("/c"), 1, one(), Response::text(200, "c"));
         assert_eq!(c.len(), 2);
         assert!(
-            c.lookup(&key("/b"), 1, None).is_none(),
+            c.lookup(&key("/b"), 1, ONE).is_none(),
             "/b was the LRU victim"
         );
-        assert!(c.lookup(&key("/a"), 1, None).is_some());
-        assert!(c.lookup(&key("/c"), 1, None).is_some());
+        assert!(c.lookup(&key("/a"), 1, ONE).is_some());
+        assert!(c.lookup(&key("/c"), 1, ONE).is_some());
         assert_eq!(c.gauges().snapshot().evictions, 1);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut c = cache(0);
-        c.insert(key("/a"), 1, None, Response::text(200, "a"));
-        assert!(c.lookup(&key("/a"), 1, None).is_none());
-    }
-
-    #[test]
-    fn etag_matching() {
-        assert_eq!(etag_for(7), "\"g7\"");
-        assert!(if_none_match_matches("\"g7\"", "\"g7\""));
-        assert!(if_none_match_matches("\"g1\", \"g7\"", "\"g7\""));
-        assert!(if_none_match_matches("*", "\"g7\""));
-        assert!(!if_none_match_matches("\"g6\"", "\"g7\""));
-        assert!(!if_none_match_matches("g7", "\"g7\""));
+        c.insert(key("/a"), 1, one(), Response::text(200, "a"));
+        assert!(c.lookup(&key("/a"), 1, ONE).is_none());
     }
 
     #[test]
@@ -460,28 +415,32 @@ mod tests {
         let deps = ShardDeps::over(&[0, 2], &epochs);
         assert_eq!(deps.mask, 0b101);
         assert_eq!(deps.stamp, 8);
-        let tag = etag_for_deps(9, Some(deps));
+        let tag = etag_for_deps(9, deps);
         assert_eq!(tag, "\"g9.s8.5\"");
-        assert_eq!(parse_etag(&tag), Some((9, Some(deps))));
-        assert_eq!(parse_etag("\"g9\""), Some((9, None)));
+        assert_eq!(parse_etag(&tag), Some((9, deps)));
+        assert_eq!(parse_etag("\"g9\""), None, "a tag without deps is foreign");
         assert_eq!(parse_etag("\"w/123\""), None, "foreign tags don't parse");
 
         // Same generation + unchanged masked epochs → inline 304.
         assert_eq!(
-            revalidate_etag(&tag, 9, Some(&epochs)).as_deref(),
+            revalidate_etag(&tag, 9, &epochs).as_deref(),
             Some(tag.as_str())
         );
         // An untouched-shard bump (shard 1 is outside the mask) still
         // revalidates; a masked-shard bump does not.
         let bumped_other = [3u64, 2, 5, 2];
-        assert!(revalidate_etag(&tag, 9, Some(&bumped_other)).is_some());
+        assert!(revalidate_etag(&tag, 9, &bumped_other).is_some());
         let bumped_masked = [4u64, 1, 5, 2];
-        assert!(revalidate_etag(&tag, 9, Some(&bumped_masked)).is_none());
-        // Generation mismatch or flat/sharded mode mismatch never holds.
-        assert!(revalidate_etag(&tag, 10, Some(&epochs)).is_none());
-        assert!(revalidate_etag(&tag, 9, None).is_none());
-        assert!(revalidate_etag("\"g9\"", 9, Some(&epochs)).is_none());
-        assert!(revalidate_etag("\"g9\"", 9, None).is_some());
+        assert!(revalidate_etag(&tag, 9, &bumped_masked).is_none());
+        // A generation mismatch never holds.
+        assert!(revalidate_etag(&tag, 10, &epochs).is_none());
+        assert!(revalidate_etag("\"g9\"", 9, &epochs).is_none());
+        // `*` matches and echoes a tag over every shard, which itself
+        // revalidates until any shard moves.
+        let star = revalidate_etag("\"x\", *", 9, &epochs).expect("wildcard");
+        assert_eq!(star, etag_for_deps(9, ShardDeps::full(4, &epochs)));
+        assert!(revalidate_etag(&star, 9, &epochs).is_some());
+        assert!(revalidate_etag(&star, 9, &bumped_other).is_none());
     }
 
     #[test]
@@ -501,23 +460,23 @@ mod tests {
         c.insert(
             key("/a"),
             1,
-            Some(ShardDeps::over(&[0], &e0)),
+            ShardDeps::over(&[0], &e0),
             Response::text(200, "a"),
         );
         c.insert(
             key("/b"),
             1,
-            Some(ShardDeps::over(&[1], &e0)),
+            ShardDeps::over(&[1], &e0),
             Response::text(200, "b"),
         );
         // A commit bumps shard 1 only.
         let e1 = [1u64, 2];
         assert!(
-            c.lookup(&key("/a"), 1, Some(&e0)).is_some(),
+            c.lookup(&key("/a"), 1, &e0).is_some(),
             "untouched shard still serves"
         );
         assert!(
-            c.lookup(&key("/b"), 1, Some(&e1)).is_none(),
+            c.lookup(&key("/b"), 1, &e1).is_none(),
             "touched shard is dropped"
         );
         assert_eq!(c.len(), 1, "only the dependent entry was removed");
@@ -525,26 +484,5 @@ mod tests {
         assert_eq!(g.deps_invalidations, 1);
         assert_eq!(g.epoch_invalidations, 0, "no wholesale clear happened");
         assert_eq!(g.entries, 1);
-    }
-
-    #[test]
-    fn mode_mismatched_entries_never_validate() {
-        let mut c = cache(8);
-        let epochs = [1u64];
-        c.insert(key("/flat"), 1, None, Response::text(200, "flat"));
-        assert!(
-            c.lookup(&key("/flat"), 1, Some(&epochs)).is_none(),
-            "a depless entry is stale under sharded validation"
-        );
-        c.insert(
-            key("/dep"),
-            1,
-            Some(ShardDeps::over(&[0], &epochs)),
-            Response::text(200, "dep"),
-        );
-        assert!(
-            c.lookup(&key("/dep"), 1, None).is_none(),
-            "a dep-stamped entry is stale under flat validation"
-        );
     }
 }

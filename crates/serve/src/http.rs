@@ -323,9 +323,10 @@ pub struct Response {
     pub headers: Vec<(&'static str, String)>,
     /// Response body bytes.
     pub body: Vec<u8>,
-    /// Sharded-store mode: which store shards the answer was derived
-    /// from, stamped at compute time. Metadata for the response cache
-    /// and ETag minting — never serialized onto the wire.
+    /// Which store shards the answer was derived from, stamped at
+    /// compute time; `None` for answers that are never cached. Metadata
+    /// for the response cache and ETag minting — never serialized onto
+    /// the wire.
     pub deps: Option<crate::cache::ShardDeps>,
 }
 

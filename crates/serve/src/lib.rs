@@ -44,8 +44,8 @@ pub mod server;
 pub mod shard;
 
 pub use cache::{
-    etag_for, etag_for_deps, parse_etag, revalidate_etag, CacheGauges, CacheSnapshot,
-    ResponseCache, ShardDeps,
+    etag_for_deps, parse_etag, revalidate_etag, CacheGauges, CacheSnapshot, ResponseCache,
+    ShardDeps,
 };
 pub use json::Json;
 pub use loadgen::{
@@ -53,6 +53,6 @@ pub use loadgen::{
 };
 pub use metrics::{HttpGauges, Metrics, SnapshotGauges, StoreGauges};
 pub use pool::{Pool, QueueGauge};
-pub use routes::{handle, negotiate, App, Format};
+pub use routes::{format_position, handle, negotiate, parse_position, App, Format};
 pub use server::{ServeConfig, Server, ShutdownReport};
 pub use shard::{Shard, ShardConfig, ShedGauges, ShedSnapshot};

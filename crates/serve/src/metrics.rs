@@ -63,7 +63,7 @@ pub struct SnapshotGauges {
 
 /// Sharded-store gauges sampled at scrape time: one row per store
 /// shard (objects, MVCC epoch, WAL segment size) plus the transaction
-/// counters — commits, first-writer-wins conflicts, aborts.
+/// counters — commits and first-writer-wins conflicts.
 #[derive(Debug, Clone, Default)]
 pub struct StoreGauges {
     /// Per-shard rows, indexed by shard.
@@ -396,7 +396,6 @@ impl Metrics {
             }
             let _ = writeln!(out, "annoda_txn_commits_total {}", s.txns.commits);
             let _ = writeln!(out, "annoda_txn_conflicts_total {}", s.txns.conflicts);
-            let _ = writeln!(out, "annoda_txn_aborts_total {}", s.txns.aborts);
         }
         if let Some(r) = repl {
             // Role as a one-hot enum gauge, Prometheus style.
@@ -410,12 +409,6 @@ impl Metrics {
                 "annoda_repl_role{{role=\"follower\"}} {}",
                 u8::from(r.follower)
             );
-            let _ = writeln!(
-                out,
-                "annoda_repl_applied_generation {}",
-                r.applied_generation
-            );
-            let _ = writeln!(out, "annoda_repl_applied_offset {}", r.applied_offset);
             let _ = writeln!(out, "annoda_repl_leader_offset {}", r.leader_offset);
             let _ = writeln!(out, "annoda_repl_lag_bytes {}", r.lag_bytes);
             let _ = writeln!(out, "annoda_repl_lag_records {}", r.lag_records);
@@ -705,7 +698,6 @@ impl Metrics {
                     Json::obj([
                         ("commits", Json::Int(s.txns.commits as i64)),
                         ("conflicts", Json::Int(s.txns.conflicts as i64)),
-                        ("aborts", Json::Int(s.txns.aborts as i64)),
                     ]),
                 ),
             ]),
@@ -717,8 +709,6 @@ impl Metrics {
                     "role",
                     Json::str(if r.follower { "follower" } else { "leader" }),
                 ),
-                ("applied_generation", Json::Int(r.applied_generation as i64)),
-                ("applied_offset", Json::Int(r.applied_offset as i64)),
                 ("leader_offset", Json::Int(r.leader_offset as i64)),
                 ("lag_bytes", Json::Int(r.lag_bytes as i64)),
                 ("lag_records", Json::Int(r.lag_records as i64)),
@@ -902,8 +892,6 @@ mod tests {
             }),
             Some(ReplStats {
                 follower: true,
-                applied_generation: 3,
-                applied_offset: 1_213,
                 leader_offset: 1_500,
                 lag_bytes: 287,
                 lag_records: 4,
@@ -964,7 +952,6 @@ mod tests {
                 txns: TxnStats {
                     commits: 9,
                     conflicts: 2,
-                    aborts: 1,
                 },
             }),
         );
@@ -1028,8 +1015,6 @@ mod tests {
         assert!(text.contains("annoda_search_zero_hits_total 2"));
         assert!(text.contains("annoda_repl_role{role=\"follower\"} 1"));
         assert!(text.contains("annoda_repl_role{role=\"leader\"} 0"));
-        assert!(text.contains("annoda_repl_applied_generation 3"));
-        assert!(text.contains("annoda_repl_applied_offset 1213"));
         assert!(text.contains("annoda_repl_leader_offset 1500"));
         assert!(text.contains("annoda_repl_lag_bytes 287"));
         assert!(text.contains("annoda_repl_lag_records 4"));
@@ -1046,7 +1031,6 @@ mod tests {
         assert!(text.contains("annoda_store_shard_generation{shard=\"1\"} 1"));
         assert!(text.contains("annoda_txn_commits_total 9"));
         assert!(text.contains("annoda_txn_conflicts_total 2"));
-        assert!(text.contains("annoda_txn_aborts_total 1"));
         assert!(
             text.contains("annoda_federation_breaker_state{source=\"OMIM\",state=\"open\"} 1"),
             "{text}"

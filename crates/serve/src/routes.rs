@@ -47,9 +47,10 @@ pub struct App {
     pub shed: Arc<ShedGauges>,
     /// The live serving generation (the ETag / cache epoch key).
     pub generation: Arc<AtomicU64>,
-    /// Sharded-store mode: the live per-shard epoch vector. Reactor
-    /// shards validate dep-stamped cache entries and ETags against it
-    /// without taking the system lock. `None` for a flat store.
+    /// The live per-shard epoch vector. Reactor shards validate
+    /// cache entries and ETags against it without taking the system
+    /// lock. Always `Some` from [`DurableSystem::shard_epochs_handle`];
+    /// `None` disables the response cache.
     pub epochs: Option<EpochsHandle>,
     /// Server start time (for `/healthz` uptime).
     pub started: Instant,
@@ -106,13 +107,13 @@ struct ShardCtx {
     epochs: Arc<Vec<u64>>,
 }
 
-/// The sharding context, or `None` when the system serves a flat store.
-fn shard_ctx(app: &App) -> Option<ShardCtx> {
-    let sharded = app.system().sharded_handle()?;
-    Some(ShardCtx {
-        router: sharded.router(),
-        epochs: sharded.epoch_vector(),
-    })
+/// The sharding context as of now.
+fn shard_ctx(app: &App) -> ShardCtx {
+    let sys = app.system();
+    ShardCtx {
+        router: sys.shards().router(),
+        epochs: sys.shards().epoch_vector(),
+    }
 }
 
 impl ShardCtx {
@@ -197,92 +198,90 @@ fn error(status: u16, format: Format, message: String) -> Response {
 
 /// Query parameters consumed by the read-your-writes gate (stripped
 /// before route-specific parameter handling).
-pub const GATE_PARAMS: [&str; 2] = ["min_generation", "min_offset"];
+pub const GATE_PARAMS: [&str; 1] = ["min_position"];
 
 /// How long a gated read stalls for the replica to catch up before
 /// answering `412 Precondition Failed`.
 const GATE_STALL: std::time::Duration = std::time::Duration::from_millis(750);
 
+/// Renders per-shard positions as the `/healthz` token:
+/// `GEN:OFFSET` pairs, one per shard, comma-separated.
+pub fn format_position(position: &[annoda::Position]) -> String {
+    position
+        .iter()
+        .map(|(generation, offset)| format!("{generation}:{offset}"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Parses a [`format_position`] token.
+pub fn parse_position(token: &str) -> Option<Vec<annoda::Position>> {
+    token
+        .split(',')
+        .map(|pair| {
+            let (generation, offset) = pair.split_once(':')?;
+            Some((generation.parse().ok()?, offset.parse().ok()?))
+        })
+        .collect()
+}
+
 /// Read-your-writes: a client that wrote through the leader and
-/// learned its `(generation, wal_offset)` position (from the write
-/// response's `/healthz`) can pin a read to at least that position with
-/// `?min_generation=G&min_offset=O`. The handler stalls briefly while
-/// the node catches up; if it does not, `412` tells the client to retry
-/// (or read the leader), which is strictly better than silently
-/// serving stale data.
+/// learned its per-shard position (the `position:` line of its
+/// `/healthz`) can pin a read to at least that position with
+/// `?min_position=G:O,G:O,...`. Shard by shard, the node's
+/// `(generation, offset)` must be at least the pinned one. The handler
+/// stalls briefly while the node catches up; if it does not, `412`
+/// tells the client to retry (or read the leader), which is strictly
+/// better than silently serving stale data.
 fn replication_gate(app: &App, pairs: &[(String, String)], format: Format) -> Result<(), Response> {
-    let mut min_generation = None;
-    let mut min_offset = 0u64;
-    for (key, value) in pairs {
-        let slot = match key.as_str() {
-            "min_generation" => &mut min_generation,
-            "min_offset" => {
-                match value.parse::<u64>() {
-                    Ok(v) => min_offset = v,
-                    Err(_) => {
-                        return Err(error(
-                            400,
-                            format,
-                            format!("min_offset must be a non-negative integer: {value}"),
-                        ))
-                    }
-                }
-                continue;
-            }
-            _ => continue,
+    let Some((_, value)) = pairs.iter().find(|(key, _)| key == "min_position") else {
+        return Ok(());
+    };
+    let Some(min) = parse_position(value) else {
+        return Err(error(
+            400,
+            format,
+            format!("min_position takes GEN:OFFSET pairs, comma-separated: {value}"),
+        ));
+    };
+    let deadline = Instant::now() + GATE_STALL;
+    loop {
+        let Some(position) = app.system().wal_position() else {
+            return Err(error(
+                412,
+                format,
+                "this node has no durable position (started without --data-dir)".to_string(),
+            ));
         };
-        match value.parse::<u64>() {
-            Ok(v) => *slot = Some(v),
-            Err(_) => {
-                return Err(error(
-                    400,
-                    format,
-                    format!("min_generation must be a non-negative integer: {value}"),
-                ))
-            }
-        }
-    }
-    let Some(min_generation) = min_generation else {
-        if min_offset > 0 {
+        if position.len() != min.len() {
             return Err(error(
                 400,
                 format,
-                "min_offset needs min_generation".to_string(),
+                format!(
+                    "min_position names {} shards, this node has {}",
+                    min.len(),
+                    position.len()
+                ),
             ));
         }
-        return Ok(());
-    };
-
-    let deadline = Instant::now() + GATE_STALL;
-    loop {
-        let position = app.system().wal_position();
-        match position {
-            // Positions order lexicographically: promotion bumps the
-            // generation, so any later generation satisfies any offset
-            // of an earlier one.
-            Some((gen, off)) if (gen, off) >= (min_generation, min_offset) => return Ok(()),
-            Some((gen, off)) => {
-                if Instant::now() >= deadline {
-                    return Err(error(
-                        412,
-                        format,
-                        format!(
-                            "replica at generation {gen} offset {off}, \
-                             precondition needs generation {min_generation} \
-                             offset {min_offset}; retry or read the leader"
-                        ),
-                    ));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            None => {
-                return Err(error(
-                    412,
-                    format,
-                    "this node has no durable position (started without --data-dir)".to_string(),
-                ))
-            }
+        // Per shard, positions order lexicographically: promotion bumps
+        // the generation, so any later generation satisfies any offset
+        // of an earlier one.
+        if position.iter().zip(&min).all(|(have, want)| have >= want) {
+            return Ok(());
         }
+        if Instant::now() >= deadline {
+            return Err(error(
+                412,
+                format,
+                format!(
+                    "replica at position {}, precondition needs {}; retry or read the leader",
+                    format_position(&position),
+                    format_position(&min)
+                ),
+            ));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
 }
 
@@ -313,7 +312,7 @@ fn genes(app: &App, req: &Request, format: Format) -> Response {
             // while silently missing the new member, so selections pin
             // the full vector; exact per-key deps are reserved for
             // point reads (`/object`) whose membership the key fixes.
-            let deps = sharding.map(|ctx| ctx.full());
+            let deps = Some(sharding.full());
             let mut response = match format {
                 Format::Text => {
                     let mut body = rewrite_links(&render_integrated_view(&answer.fused.genes));
@@ -497,7 +496,7 @@ fn search(app: &App, req: &Request, format: Format) -> Response {
     }
     // Ranked search is a whole-corpus selection: any shard's commit can
     // reorder or re-score, so its deps pin the full vector.
-    let deps = sharding.map(|ctx| ctx.full());
+    let deps = Some(sharding.full());
     let mut response = match format {
         Format::Text => {
             let mut body = String::new();
@@ -597,15 +596,15 @@ fn object(app: &App, path: &str, format: Format) -> Response {
         Ok(view) => {
             // A point read: the viewed object's key plus every internal
             // link target it renders — exact shard deps.
-            let deps = sharding.map(|ctx| {
-                ctx.deps_for_keys(
+            let deps = Some(
+                sharding.deps_for_keys(
                     std::iter::once(view.key.as_str()).chain(
                         view.links
                             .iter()
                             .filter_map(|l| l.internal_target().map(|(_, k)| k)),
                     ),
-                )
-            });
+                ),
+            );
             let mut response = match format {
                 Format::Text => Response::text(200, rewrite_links(&render_object_view(&view))),
                 Format::Json => Response::json(200, &object_json(&view)),
@@ -620,24 +619,27 @@ fn object(app: &App, path: &str, format: Format) -> Response {
 
 fn healthz(app: &App, format: Format) -> Response {
     let uptime = app.started.elapsed();
-    // The durable position doubles as the write token for
+    // The durable per-shard position doubles as the write token for
     // read-your-writes: a client that writes, reads `/healthz` on the
-    // leader, and pins replica reads with `min_generation`/`min_offset`
-    // sees its own write everywhere.
-    let (role, generation, wal_offset) = {
+    // leader, and pins replica reads with `min_position` sees its own
+    // write everywhere.
+    let (role, position, refusal) = {
         let sys = app.system();
-        let (generation, wal_offset) = sys.wal_position().unwrap_or((0, 0));
-        (sys.role(), generation, wal_offset)
+        let position = sys.wal_position().map(|p| format_position(&p));
+        (sys.role(), position, sys.repl_handle().refusal())
     };
     let feeds = app.feed_snapshots();
     match format {
         Format::Text => {
             let mut body = format!(
-                "ok\nuptime_s: {}\nrequests: {}\nrole: {role}\ngeneration: {generation}\n\
-                 wal_offset: {wal_offset}\n",
+                "ok\nuptime_s: {}\nrequests: {}\nrole: {role}\nposition: {}\n",
                 uptime.as_secs(),
-                app.metrics.requests_total()
+                app.metrics.requests_total(),
+                position.as_deref().unwrap_or("none")
             );
+            if let Some(reason) = &refusal {
+                body.push_str(&format!("replication_refused: {reason}\n"));
+            }
             // Feed positions double as the streaming write token: a
             // client can wait for `applied_seq` to cover a mutation it
             // knows the source journaled.
@@ -656,8 +658,8 @@ fn healthz(app: &App, format: Format) -> Response {
                 ("uptime_s", Json::Int(uptime.as_secs() as i64)),
                 ("requests", Json::Int(app.metrics.requests_total() as i64)),
                 ("role", Json::str(role.to_string())),
-                ("generation", Json::Int(generation as i64)),
-                ("wal_offset", Json::Int(wal_offset as i64)),
+                ("position", Json::opt(position)),
+                ("replication_refused", Json::opt(refusal)),
                 (
                     "feeds",
                     Json::Obj(
@@ -691,9 +693,10 @@ fn metrics(app: &App, format: Format) -> Response {
             sys.search_stats(),
             sys.repl_handle().stats(),
             sys.annoda().federation_stats(),
-            sys.shard_gauges()
-                .zip(sys.txn_stats())
-                .map(|(shards, txns)| crate::metrics::StoreGauges { shards, txns }),
+            crate::metrics::StoreGauges {
+                shards: sys.shards().shard_gauges(),
+                txns: sys.shards().txn_stats(),
+            },
         )
     };
     let search = search_stats.map(|s| crate::metrics::SearchGauges {
@@ -731,7 +734,7 @@ fn metrics(app: &App, format: Format) -> Response {
                 Some(repl),
                 &federation,
                 &feeds,
-                store.as_ref(),
+                Some(&store),
             ),
         ),
         Format::Json => Response::json(
@@ -746,17 +749,18 @@ fn metrics(app: &App, format: Format) -> Response {
                 Some(repl),
                 &federation,
                 &feeds,
-                store.as_ref(),
+                Some(&store),
             ),
         ),
     }
 }
 
-/// `POST /admin/refresh` — wrappers re-pull their sources; with a data
-/// directory attached the GML delta is journaled. `?source=NAME`
-/// re-pulls a single source: in sharded-store mode only the store
-/// shards holding that source's changed entities bump their epochs, so
-/// cached responses for everything else keep serving.
+/// `POST /admin/refresh` — wrappers re-pull their sources and the GML
+/// delta is committed (and, with a data directory, journaled). A full
+/// refresh invalidates every cached response; `?source=NAME` re-pulls a
+/// single source, and only the store shards holding that source's
+/// changed entities bump their epochs, so cached responses for
+/// everything else keep serving.
 fn admin_refresh(app: &App, req: &Request, format: Format) -> Response {
     let mut source: Option<String> = None;
     for (key, value) in req.query_pairs() {
@@ -822,8 +826,8 @@ fn admin_error(e: AnnodaError, format: Format) -> Response {
 }
 
 /// `POST /admin/promote` — failover: a follower seals its replicated
-/// WAL behind a snapshot, bumps the generation, and starts accepting
-/// writes. `409` on a node that is already the leader.
+/// shard WALs behind snapshots, bumps every generation, and starts
+/// accepting writes. `409` on a node that is already the leader.
 fn admin_promote(app: &App, format: Format) -> Response {
     {
         let sys = app.system();
@@ -832,20 +836,21 @@ fn admin_promote(app: &App, format: Format) -> Response {
         }
     }
     match app.system_mut().promote() {
-        Ok((generation, wal_offset)) => match format {
-            Format::Text => Response::text(
-                200,
-                format!("role: leader\ngeneration: {generation}\nwal_offset: {wal_offset}\n"),
-            ),
-            Format::Json => Response::json(
-                200,
-                &Json::obj([
-                    ("role", Json::str("leader")),
-                    ("generation", Json::Int(generation as i64)),
-                    ("wal_offset", Json::Int(wal_offset as i64)),
-                ]),
-            ),
-        },
+        Ok(position) => {
+            let position = format_position(&position);
+            match format {
+                Format::Text => {
+                    Response::text(200, format!("role: leader\nposition: {position}\n"))
+                }
+                Format::Json => Response::json(
+                    200,
+                    &Json::obj([
+                        ("role", Json::str("leader")),
+                        ("position", Json::str(position)),
+                    ]),
+                ),
+            }
+        }
         // A concurrent promote can win the race between the role check
         // above and the write lock.
         Err(e @ AnnodaError::Replication(_)) => error(409, format, e.to_string()),
@@ -853,8 +858,10 @@ fn admin_promote(app: &App, format: Format) -> Response {
     }
 }
 
-/// `POST /admin/snapshot` — point-in-time snapshot + log truncation.
-/// `409` when the server runs without a data directory.
+/// `POST /admin/snapshot` — snapshots every store shard whose WAL holds
+/// records and truncates those logs; the answer sums objects and bytes
+/// under the highest resulting generation. `409` when the server runs
+/// without a data directory.
 fn admin_snapshot(app: &App, format: Format) -> Response {
     match app.system_mut().snapshot() {
         Ok(Some(meta)) => match format {

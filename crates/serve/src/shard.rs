@@ -132,11 +132,9 @@ struct Completion {
     response: Response,
     /// The generation captured at dispatch — the cache stamp.
     generation: u64,
-    /// Sharded mode: the shard deps the handler computed the answer
-    /// under (the selective-invalidation stamp).
-    deps: Option<ShardDeps>,
-    /// Where to cache the response (cacheable 200s only).
-    cache_key: Option<CacheKey>,
+    /// Where to cache the response and the shard deps the handler
+    /// computed it under (cacheable 200s only).
+    cache: Option<(CacheKey, ShardDeps)>,
 }
 
 #[derive(Default)]
@@ -353,13 +351,13 @@ impl Conn {
 
 /// Whether a request may be served from / stored into the response
 /// cache: `GET` on the snapshot-derived read routes. Reads pinned to a
-/// replication position (`min_generation`) are answered against the
-/// WAL position, not the serving epoch the cache is keyed by, so they
+/// replication position (`min_position`) are answered against the
+/// WAL positions, not the serving epoch the cache is keyed by, so they
 /// always take the slow path.
 fn cacheable(req: &Request) -> bool {
     req.method == "GET"
         && (req.path == "/genes" || req.path == "/search" || req.path.starts_with("/object/"))
-        && !req.query.contains("min_generation")
+        && !req.query.contains("min_position")
 }
 
 /// The cache identity of a request target (path plus raw query).
@@ -441,11 +439,11 @@ fn run(
                 continue; // connection died while the request ran
             };
             conn.dispatched = false;
-            if let Some(key) = completion.cache_key {
+            if let Some((key, deps)) = completion.cache {
                 cache.insert(
                     key,
                     completion.generation,
-                    completion.deps,
+                    deps,
                     completion.response.clone(),
                 );
             }
@@ -454,12 +452,11 @@ fn run(
         }
 
         let generation_now = generation.load(Ordering::Acquire);
-        // Sharded-store mode: snapshot the live epoch vector once per
-        // tick — dep-stamped cache entries and ETags validate against
-        // it without touching the system lock.
+        // Snapshot the live epoch vector once per tick — cache entries
+        // and ETags validate against it without touching the system
+        // lock. An app without an epoch handle never caches.
         let epochs_now: Option<Arc<Vec<u64>>> =
             app.epochs.as_ref().map(|handle| Arc::clone(&handle.read()));
-        let live_epochs: Option<&[u64]> = epochs_now.as_deref().map(Vec::as_slice);
         let mut dead: Vec<u64> = Vec::new();
 
         for (&id, conn) in &mut conns {
@@ -499,15 +496,16 @@ fn run(
                 };
                 let format = negotiate(req.header("accept"));
                 let mut cache_key: Option<CacheKey> = None;
-                if let (true, Some(format)) = (cacheable(&req), format) {
+                if let (true, Some(format), Some(live_epochs)) =
+                    (cacheable(&req), format, epochs_now.as_deref())
+                {
                     if let Some(etag) = req
                         .header("if-none-match")
                         .and_then(|h| revalidate_etag(h, generation_now, live_epochs))
                     {
                         // The client's copy is provably current — same
-                        // generation and (for dep-stamped tags) an
-                        // unchanged epoch sum over its shard mask —
-                        // so revalidate without computing.
+                        // generation and an unchanged epoch sum over its
+                        // shard mask — so revalidate without computing.
                         cache.gauges().not_modified.fetch_add(1, Ordering::Relaxed);
                         app.metrics
                             .record(Metrics::route_index(&req.path), 304, Duration::ZERO);
@@ -688,27 +686,23 @@ fn slow_path_job(
         let next = if prev == 0 { us } else { (prev * 7 + us) / 8 };
         shed.service_ewma_us.store(next, Ordering::Relaxed);
         // Only successful cacheable answers are cached; they carry the
-        // strong ETag of the model state they were computed under. In
-        // sharded-store mode an answer without shard deps has no
-        // invalidation story, so it is served but never cached.
-        let cache_key =
-            if response.status == 200 && (app.epochs.is_none() || response.deps.is_some()) {
-                cache_key
-            } else {
-                None
-            };
-        let deps = response.deps;
-        if cache_key.is_some() {
-            response
-                .headers
-                .push(("etag", etag_for_deps(generation, deps)));
-        }
+        // strong ETag of the model state they were computed under. An
+        // answer without shard deps has no invalidation story, so it is
+        // served but never cached.
+        let cache = match (cache_key, response.deps) {
+            (Some(key), Some(deps)) if response.status == 200 => {
+                response
+                    .headers
+                    .push(("etag", etag_for_deps(generation, deps)));
+                Some((key, deps))
+            }
+            _ => None,
+        };
         shared.complete(Completion {
             conn,
             response,
             generation,
-            deps,
-            cache_key,
+            cache,
         });
     }
 }

@@ -5,8 +5,9 @@
 //! global model. This crate *tails*: each source-server keeps a
 //! [`annoda_federation::ChangeJournal`] of record-level changes to its
 //! native database, and a [`StreamClient`] subscribes to that feed,
-//! handing every batch to [`annoda::DurableSystem::absorb_delta`] —
-//! which stages the delta through the sharded transaction path so only
+//! handing every batch to [`annoda::DurableSystem::absorb_apply`] and
+//! [`annoda::DurableSystem::absorb_commit`] — which stage the delta
+//! through the sharded transaction path so only
 //! the shards holding touched entities bump their epochs, only their
 //! WAL segments journal, and the search index re-tokenizes only the
 //! changed source.
@@ -22,7 +23,7 @@
 //!
 //! The cursor is ack-driven: the client acknowledges the last sequence
 //! it has durably absorbed, and the server replays strictly after it.
-//! Because the ack is sent only after `absorb_delta` returns `Ok`, a
+//! Because the ack is sent only after `absorb_commit` returns `Ok`, a
 //! connection torn down at any point — mid-batch, mid-absorb, or by
 //! killing the source process — resumes at the acked sequence with
 //! nothing lost and nothing double-applied (upserts and deletes are

@@ -94,7 +94,8 @@ pub struct FeedGauges {
     /// Highest sequence the server has reported or shipped.
     pub head_seq: AtomicU64,
     /// Known outstanding records (`head_seq - applied_seq`); exact at
-    /// subscribe time, zero whenever an empty batch confirms caught-up.
+    /// subscribe time, raised as soon as a batch arrives (before it is
+    /// absorbed), zero whenever an empty batch confirms caught-up.
     pub lag_records: AtomicU64,
     /// Microseconds since the feed was last confirmed caught up; 0 when
     /// caught up, pinned to at least 1 while behind.
@@ -107,7 +108,7 @@ pub struct FeedGauges {
     pub bootstraps: AtomicU64,
     /// Connection lifetimes torn down and re-subscribed.
     pub resubscribes: AtomicU64,
-    /// Cumulative microseconds spent inside `absorb_delta`.
+    /// Cumulative microseconds spent absorbing (apply plus commit).
     pub absorb_us: AtomicU64,
 }
 
@@ -330,28 +331,27 @@ fn tail_once(
                     std::thread::sleep(config.poll_interval);
                     continue;
                 }
+                // The batch proves the head is at least `seq`: publish
+                // the lag before absorbing, so the gauges read behind
+                // for as long as the records wait on the system lock
+                // and the commit.
+                let head = gauges.head_seq.load(Ordering::Acquire).max(seq);
+                gauges.head_seq.store(head, Ordering::Release);
+                gauges
+                    .lag_records
+                    .store(head.saturating_sub(applied), Ordering::Release);
                 let absorb_started = Instant::now();
                 let absorb_err = |e| ProtoError::Frame(format!("absorb: {e}"));
                 // Hold the writer lock only for the record-level apply;
-                // in sharded mode the expensive materialise-and-commit
-                // is `&self`, so it runs under a reader lock and the
-                // serve tier keeps answering queries meanwhile. Either
-                // phase failing tears the connection down unacked — the
-                // replay re-applies the records idempotently.
-                let applied = {
-                    let mut sys = lock_write_politely(system);
-                    if sys.is_sharded() {
-                        Some(
-                            sys.absorb_apply(&gauges.source, &records, bootstrap)
-                                .map_err(absorb_err)?,
-                        )
-                    } else {
-                        sys.absorb_delta(&gauges.source, &records, bootstrap)
-                            .map_err(absorb_err)?;
-                        None
-                    }
-                };
-                if let Some(refreshed) = applied {
+                // the expensive materialise-and-commit is `&self`, so it
+                // runs under a reader lock and the serve tier keeps
+                // answering queries meanwhile. Either phase failing
+                // tears the connection down unacked — the replay
+                // re-applies the records idempotently.
+                let refreshed = lock_write_politely(system)
+                    .absorb_apply(&gauges.source, &records, bootstrap)
+                    .map_err(absorb_err)?;
+                {
                     let sys = system.read().expect("system lock");
                     sys.absorb_commit(&gauges.source, refreshed)
                         .map_err(absorb_err)?;
@@ -374,8 +374,6 @@ fn tail_once(
                 if bootstrap {
                     gauges.bootstraps.fetch_add(1, Ordering::Relaxed);
                 }
-                let head = gauges.head_seq.load(Ordering::Acquire).max(seq);
-                gauges.head_seq.store(head, Ordering::Release);
                 gauges
                     .lag_records
                     .store(head.saturating_sub(seq), Ordering::Release);
@@ -527,6 +525,50 @@ mod tests {
         assert!(snap.resubscribes >= 1, "the outage was observed");
         assert_eq!(snap.records, 9, "each change absorbed exactly once");
         assert_eq!(snap.bootstraps, 0, "resume never needed a dump");
+        client.shutdown();
+    }
+
+    /// The lag gauge must read behind while a received batch waits to
+    /// be absorbed — here, for as long as the test holds the system's
+    /// writer lock.
+    #[test]
+    fn lag_gauge_reads_behind_while_a_batch_waits() {
+        let corpus = Corpus::generate(CorpusConfig::tiny(42));
+        let wrapper: Box<dyn Wrapper> = Box::new(OmimWrapper::new(corpus.omim.clone()));
+        let shared = Arc::new(RwLock::new(wrapper));
+        let journal = Arc::new(ChangeJournal::new(64));
+        let server = SourceServer::spawn_shared(
+            Arc::clone(&shared),
+            Arc::clone(&journal),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .unwrap();
+        let sys = subscriber(&corpus);
+        let mut client =
+            StreamClient::spawn(Arc::clone(&sys), "OMIM", &server.addr().to_string(), fast());
+        let gauges = client.gauges();
+        mutate(&server, 3, 0);
+        wait_until("the first change absorbed", || {
+            gauges.applied_seq.load(Ordering::Acquire) >= 1
+        });
+
+        let held = sys.write().unwrap();
+        mutate(&server, 3, 1);
+        wait_until("the gauge to see the pending batch", || {
+            gauges.lag_records.load(Ordering::Acquire) > 0
+        });
+        assert_eq!(gauges.head_seq.load(Ordering::Acquire), 2);
+        assert_eq!(
+            gauges.applied_seq.load(Ordering::Acquire),
+            1,
+            "still blocked"
+        );
+        drop(held);
+        wait_until("the batch absorbed and the lag cleared", || {
+            gauges.applied_seq.load(Ordering::Acquire) >= 2
+                && gauges.lag_records.load(Ordering::Acquire) == 0
+        });
         client.shutdown();
     }
 

@@ -13,6 +13,12 @@ cargo build --release --offline --workspace
 echo "== cargo build --examples =="
 cargo build --release --offline --examples
 
+# perfbench is its own cargo workspace: build and test it here, or an
+# API change can break the benchmark without `--workspace` noticing.
+echo "== perfbench build + tests =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test =="
 cargo test -q --offline --workspace
 
@@ -36,11 +42,11 @@ cargo run --release --offline -p annoda-bench --bin bench_report -- federation -
 # The B13 smoke keeps the full 10k-locus corpus and fails if indexed
 # top-k diverges from the naive-scan oracle (recall < 1.0), if the p50
 # speedup falls under 10x, or if the tri-source locus stops outranking
-# single-source hits; writes BENCH_search.json.
+# single-source hits. Smoke runs never rewrite BENCH_*.json.
 echo "== ranked-search smoke (B13) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- search --smoke
 
-# The B14 smoke spins up a leader plus two WAL-shipping followers,
+# The B14 smoke spins up a 4-shard leader plus two WAL-shipping followers,
 # checks aggregate read throughput does not fall as serving nodes are
 # added, and fails if follower lag does not converge to zero after the
 # write load stops.
@@ -50,21 +56,22 @@ cargo run --release --offline -p annoda-bench --bin bench_report -- replication 
 # The B15 smoke shards the store 1 -> 2 -> 4 ways under 4 concurrent
 # MVCC writers and fails if commit throughput stops growing with the
 # shard count or concurrent readers' pinned-snapshot p99 leaves 2x of
-# the idle baseline; writes BENCH_sharded.json.
+# the idle baseline.
 echo "== sharded MVCC store smoke (B15) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- sharded --smoke
 
-# The B16 smoke tails a live change feed into a serving node under a
-# mixed read load and fails if read p99 leaves 2x of the idle baseline
-# at any mutation rate, or if the absorbed state is not byte-identical
-# to a full re-fetch; writes BENCH_stream.json.
+# The B16 smoke tails a live change feed into a durable 4-shard serving
+# node under a mixed read load and fails if read p99 leaves 2x of the
+# idle baseline at any mutation rate, if any shard's WAL passes its
+# compaction bound, or if the absorbed state is not byte-identical to a
+# full re-fetch.
 echo "== streaming change-feed smoke (B16) =="
 cargo run --release --offline -p annoda-bench --bin bench_report -- stream --smoke
 
 echo "== sharded store byte-identity + commit-conflict properties =="
 cargo test -q --offline --test sharded_props
 
-echo "== kill-the-leader failover e2e (leader + 2 followers over TCP) =="
+echo "== kill-the-leader failover e2e (leader + 2 followers over TCP, 1 and 4 shards) =="
 cargo test -q --offline --test replica_e2e
 
 echo "== replication resume/corruption properties =="
@@ -75,6 +82,9 @@ cargo test -q --offline --test stream_props
 
 echo "== kill-the-source feed failover e2e (tailer resumes at acked seq) =="
 cargo test -q --offline -p annoda-stream
+
+echo "== annoda-serve command line (refusals, sharded leader + follower) =="
+cargo test -q --offline -p annoda-serve --test cli
 
 echo "== federation e2e (3 source-servers over TCP) =="
 cargo test -q --offline --test federation_e2e

@@ -5,11 +5,12 @@
 //! kill is still answered, byte-for-byte, by the promoted node — and
 //! that `/genes` answers are byte-identical before and after failover.
 //!
-//! Also covered here: the read-your-writes gate
-//! (`min_generation`/`min_offset`) end to end — write on the leader,
-//! take the position token from `/healthz`, pin the replica read — and
-//! the write-path refusals (`403` naming the leader, `409` promoting a
-//! leader, `412` for unreachable positions).
+//! Also covered here: the read-your-writes gate (`min_position`) end
+//! to end — write on the leader, take the per-shard position token from
+//! `/healthz`, pin the replica read — and the write-path refusals
+//! (`403` naming the leader, `409` promoting a leader, `412` for
+//! unreachable positions). Every durable scenario runs over a 1-shard
+//! and a 4-shard store.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 use annoda::{Annoda, DurableSystem, FsyncPolicy, Role};
 use annoda_replica::{LeaderConfig, LeaderServer, ReplicaClient, ReplicaConfig};
 use annoda_serve::loadgen::read_response;
-use annoda_serve::{ServeConfig, Server};
+use annoda_serve::{format_position, parse_position, ServeConfig, Server};
 use annoda_sources::{Corpus, CorpusConfig};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -89,14 +90,19 @@ fn field<'a>(body: &'a str, key: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no `{key}:` line in {body:?}"))
 }
 
-/// The node's durable `(generation, wal_offset)` write token.
-fn position(server: &Server) -> (u64, u64) {
+/// Store shard counts every durable scenario runs at.
+const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+/// The node's durable per-shard `(generation, wal_offset)` write token.
+fn position(server: &Server) -> Vec<(u64, u64)> {
     let (status, body) = get(server, "/healthz");
     assert_eq!(status, 200, "{body}");
-    (
-        field(&body, "generation").parse().unwrap(),
-        field(&body, "wal_offset").parse().unwrap(),
-    )
+    parse_position(field(&body, "position")).expect("a durable position")
+}
+
+/// Whether `have` is at or past `want` on every shard.
+fn reached(have: &[(u64, u64)], want: &[(u64, u64)]) -> bool {
+    have.len() == want.len() && have.iter().zip(want).all(|(h, w)| h >= w)
 }
 
 fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
@@ -145,10 +151,10 @@ struct FollowerNode {
     client: ReplicaClient,
 }
 
-fn follower(tag: &str, leader_http: &str, repl_addr: &str) -> FollowerNode {
-    let dir = tmp_dir(tag);
-    let durable =
-        DurableSystem::open_follower(system(), &dir, FsyncPolicy::Always).expect("follower open");
+fn follower(tag: &str, shards: usize, leader_http: &str, repl_addr: &str) -> FollowerNode {
+    let dir = tmp_dir(&format!("{tag}-{shards}"));
+    let durable = DurableSystem::open_follower(system(), &dir, FsyncPolicy::Always, shards)
+        .expect("follower open");
     durable.repl_handle().set_leader_addr(leader_http);
     let server = Server::start_durable(durable, ephemeral()).expect("bind follower");
     let client = ReplicaClient::spawn(Arc::clone(&server.app().system), repl_addr, fast_client());
@@ -165,9 +171,15 @@ fn follower(tag: &str, leader_http: &str, repl_addr: &str) -> FollowerNode {
 /// the new leader. Every answer must come back identical.
 #[test]
 fn kill_the_leader_loses_no_acknowledged_write() {
-    let leader_dir = tmp_dir("leader");
-    let durable =
-        DurableSystem::open(system(), &leader_dir, FsyncPolicy::Always).expect("leader open");
+    for shards in SHARD_COUNTS {
+        kill_the_leader_at(shards);
+    }
+}
+
+fn kill_the_leader_at(shards: usize) {
+    let leader_dir = tmp_dir(&format!("leader-{shards}"));
+    let durable = DurableSystem::open_sharded(system(), &leader_dir, FsyncPolicy::Always, shards)
+        .expect("leader open");
     let leader = Server::start_durable(durable, ephemeral()).expect("bind leader");
     let leader_http = leader.addr().to_string();
     let mut shipping = LeaderServer::spawn(
@@ -178,8 +190,8 @@ fn kill_the_leader_loses_no_acknowledged_write() {
     .expect("bind shipping listener");
     let repl_addr = shipping.addr().to_string();
 
-    let mut f1 = follower("f1", &leader_http, &repl_addr);
-    let mut f2 = follower("f2", &leader_http, &repl_addr);
+    let mut f1 = follower("f1", shards, &leader_http, &repl_addr);
+    let mut f2 = follower("f2", shards, &leader_http, &repl_addr);
 
     // Acknowledged write #1: materialise + journal the GML over HTTP.
     let (status, body) = post(&leader, "/admin/refresh", "");
@@ -194,16 +206,16 @@ fn kill_the_leader_loses_no_acknowledged_write() {
 
     // The client's write token: the leader's durable position.
     let token = position(&leader);
-    assert!(token.1 > 0, "writes moved the WAL");
+    assert!(token.iter().all(|p| p.1 > 0), "writes moved the WAL");
 
     // Both replicas converge to (at least) the token position.
     wait_until("followers to reach the leader's position", || {
-        position(&f1.server) >= token && position(&f2.server) >= token
+        reached(&position(&f1.server), &token) && reached(&position(&f2.server), &token)
     });
 
     // Read-your-writes on a replica: pin the read at the token. The
     // answer must match the leader's own, byte for byte.
-    let gate = format!("?min_generation={}&min_offset={}", token.0, token.1);
+    let gate = format!("?min_position={}", format_position(&token));
     let (status, leader_answer) = probe(&leader, "");
     assert_eq!(status, 200, "{leader_answer}");
     for f in [&f1, &f2] {
@@ -234,9 +246,9 @@ fn kill_the_leader_loses_no_acknowledged_write() {
     let (status, body) = post(&f1.server, "/admin/promote", "");
     assert_eq!(status, 200, "{body}");
     assert_eq!(field(&body, "role"), "leader");
-    let promoted_generation: u64 = field(&body, "generation").parse().unwrap();
+    let promoted = parse_position(field(&body, "position")).unwrap();
     assert!(
-        promoted_generation > token.0,
+        promoted.iter().zip(&token).all(|(p, t)| p.0 > t.0),
         "promotion seals the old log behind a new generation"
     );
     f1.client.shutdown();
@@ -279,11 +291,11 @@ fn kill_the_leader_loses_no_acknowledged_write() {
     let mut f2_client =
         ReplicaClient::spawn(f2_system, &new_shipping.addr().to_string(), fast_client());
     wait_until("follower 2 to converge on the new leader", || {
-        position(&f2.server) >= new_token
+        reached(&position(&f2.server), &new_token)
     });
     let (status, answer) = probe(
         &f2.server,
-        &format!("?min_generation={}&min_offset={}", new_token.0, new_token.1),
+        &format!("?min_position={}", format_position(&new_token)),
     );
     assert_eq!(status, 200, "{answer}");
     let (_, expected) = probe(&f1.server, "");
@@ -307,25 +319,33 @@ fn kill_the_leader_loses_no_acknowledged_write() {
 /// `400`, and promoting a node that is already the leader is `409`.
 #[test]
 fn gate_and_admin_edges_on_a_leader() {
-    let dir = tmp_dir("gate");
-    let durable = DurableSystem::open(system(), &dir, FsyncPolicy::Always).expect("open");
+    for shards in SHARD_COUNTS {
+        gate_and_admin_edges_at(shards);
+    }
+}
+
+fn gate_and_admin_edges_at(shards: usize) {
+    let dir = tmp_dir(&format!("gate-{shards}"));
+    let durable =
+        DurableSystem::open_sharded(system(), &dir, FsyncPolicy::Always, shards).expect("open");
     let server = Server::start_durable(durable, ephemeral()).expect("bind");
     let (status, _) = post(&server, "/admin/refresh", "");
     assert_eq!(status, 200);
-    let (generation, offset) = position(&server);
+    let token = position(&server);
 
     // Already satisfied: the leader is trivially at its own position.
     let (status, _) = get(
         &server,
-        &format!("/genes?min_generation={generation}&min_offset={offset}"),
+        &format!("/genes?min_position={}", format_position(&token)),
     );
     assert_eq!(status, 200);
     // A later generation is unreachable without more writes: the gate
     // stalls its bounded window, then answers 412.
+    let later: Vec<(u64, u64)> = token.iter().map(|&(g, _)| (g + 1, 0)).collect();
     let t = Instant::now();
     let (status, body) = get(
         &server,
-        &format!("/genes?min_generation={}", generation + 1),
+        &format!("/genes?min_position={}", format_position(&later)),
     );
     assert_eq!(status, 412, "{body}");
     assert!(
@@ -334,10 +354,13 @@ fn gate_and_admin_edges_on_a_leader() {
         t.elapsed()
     );
     // Malformed pins are client errors, not stalls.
-    let (status, body) = get(&server, "/genes?min_generation=soon");
+    let (status, body) = get(&server, "/genes?min_position=soon");
     assert_eq!(status, 400, "{body}");
-    let (status, body) = get(&server, "/genes?min_offset=9");
-    assert_eq!(status, 400, "min_offset without min_generation: {body}");
+    let (status, body) = get(
+        &server,
+        &format!("/genes?min_position={},0:9", format_position(&token)),
+    );
+    assert_eq!(status, 400, "a pin naming another shard count: {body}");
     // Promoting the leader is a conflict, not a no-op.
     let (status, body) = post(&server, "/admin/promote", "");
     assert_eq!(status, 409, "{body}");
@@ -352,7 +375,7 @@ fn gate_and_admin_edges_on_a_leader() {
 #[test]
 fn gate_on_a_non_durable_node_is_precondition_failed() {
     let server = Server::start_durable(DurableSystem::new(system()), ephemeral()).expect("bind");
-    let (status, body) = get(&server, "/genes?min_generation=0");
+    let (status, body) = get(&server, "/genes?min_position=0:0");
     assert_eq!(status, 412, "{body}");
     assert!(body.contains("no durable position"), "{body}");
     assert_eq!(server.app().system().role(), Role::Leader);

@@ -138,6 +138,7 @@ proptest! {
         cut_pick in any::<u64>(),
     ) {
         let message = Message::WalBatch {
+            shard: 3,
             generation: 3,
             from_offset: 13,
             records,

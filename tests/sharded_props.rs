@@ -11,6 +11,8 @@
 //!    (and both changes survive assembly), while writers overlapping
 //!    on a shard produce exactly one conflict abort.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use annoda::{Annoda, CommitError, ShardedGml};
@@ -128,6 +130,30 @@ proptest! {
             }
         }
         prop_assert!(compared > 0, "the corpus must surface fragments to compare");
+    }
+
+    /// A one-shard partition is already canonical: its single shard is
+    /// byte-identical to its assembly, so serving the shard itself (as
+    /// `ShardedStore::assembled_shard` does) serves the same bytes as
+    /// assembling — also after a commit installs a staged partition.
+    #[test]
+    fn one_shard_partition_is_its_own_assembly(seed in 0u64..4, locus in 0usize..10) {
+        let c = corpus(seed);
+        let flat = materialize(&annoda_over(&c));
+        let mut one = ShardedStore::partition(&flat, GML_ROOT, 1).expect("partition");
+        let shard = one.assembled_shard().expect("a partition is canonical");
+        prop_assert_eq!(encode_store(shard), encode_store(&one.assemble()));
+
+        let (edited, _) = materialize_with_rewrite(&c, locus, "rewritten for the test");
+        let staged = ShardedStore::partition(&edited, GML_ROOT, 1).expect("partition");
+        one.adopt(0, &staged);
+        let shard = one.assembled_shard().expect("an adopted partition shard is canonical");
+        prop_assert_eq!(encode_store(shard), encode_store(&one.assemble()));
+
+        // A shard installed from elsewhere (a replica or recovered
+        // segment) promises nothing; the vector assembles it.
+        one.install(0, Arc::new(edited));
+        prop_assert!(one.assembled_shard().is_none());
     }
 
     /// First-writer-wins: two writers begun against the same pinned
